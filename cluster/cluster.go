@@ -68,7 +68,7 @@ func New(sp *spanner.Spanner, snap *corpus.Snapshot, opts ...Option) *Coordinato
 	return c
 }
 
-// Gather is the exact cross-shard accounting of one Process run.
+// Gather is the exact cross-shard accounting of one ProcessContext run.
 type Gather struct {
 	// Docs is the corpus size.
 	Docs int

@@ -399,8 +399,9 @@ type countResponse struct {
 
 // handleCount runs the Theorem 5.1 counting pass — no enumeration, no
 // match materialization — over every document, fanning batches across an
-// ordered worker pool. Counts are always exact: the uint64 pass falls back
-// to big-integer arithmetic when it overflows. Unlike enumerate (which
+// ordered worker pool. Counts are always exact: the one counting pass per
+// document migrates from uint64 to big-integer arithmetic when it
+// overflows. Unlike enumerate (which
 // streams and therefore reports partial progress in its trailer), count
 // responds all-or-nothing: a deadline mid-batch is a 504.
 func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
@@ -475,22 +476,15 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// countDoc counts one document under ctx, exactly: an inexact uint64
-// total (the low 64 bits after overflow) is resolved with the
-// big-integer pass.
+// countDoc counts one document under ctx, exactly, in one pass: the
+// counting pass stays in uint64 until the first overflow and migrates to
+// big integers only then.
 func countDoc(ctx context.Context, sp *spanner.Spanner, doc []byte) (countResult, error) {
-	n, exact, err := sp.CountContext(ctx, doc)
+	n, err := sp.CountBigContext(ctx, doc)
 	if err != nil {
 		return countResult{}, err
 	}
-	if exact {
-		return countResult{Count: fmt.Sprintf("%d", n), Exact: true}, nil
-	}
-	big, err := sp.CountBigContext(ctx, doc)
-	if err != nil {
-		return countResult{}, err
-	}
-	return countResult{Count: big.String(), Exact: true}, nil
+	return countResult{Count: n.String(), Exact: true}, nil
 }
 
 // corpusRequest is the body of POST /v1/corpus/{name}.

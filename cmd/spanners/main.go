@@ -456,25 +456,15 @@ func (r *renderer) count(name, val string) error {
 	return e
 }
 
-// countValue counts one materialized document, falling back to big-integer
-// arithmetic on overflow so the printed value is always exact; pos reports
-// whether the true count is non-zero. The fallback decides pos too: an
-// inexact uint64 count is the low 64 bits of the true total, so by itself
-// it cannot distinguish "overflowed then every run died" (truly zero) from
-// a huge count.
+// countValue counts one materialized document exactly, in one pass (the
+// counting pass migrates to big integers on overflow); pos reports whether
+// the count is non-zero.
 func countValue(ctx context.Context, sp *spanner.Spanner, doc []byte) (val string, pos bool, err error) {
-	n, exact, err := sp.CountContext(ctx, doc)
+	n, err := sp.CountBigContext(ctx, doc)
 	if err != nil {
 		return "", false, err
 	}
-	if exact {
-		return fmt.Sprintf("%d", n), n > 0, nil
-	}
-	big, err := sp.CountBigContext(ctx, doc)
-	if err != nil {
-		return "", false, err
-	}
-	return big.String(), big.Sign() > 0, nil
+	return n.String(), n.Sign() > 0, nil
 }
 
 func printStats(w io.Writer, sp *spanner.Spanner) {

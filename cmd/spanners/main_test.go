@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -371,7 +372,7 @@ func TestCLIAlgebraFlags(t *testing.T) {
 
 func TestCLICountOverflowPrintsExactValue(t *testing.T) {
 	// 12 nested variables over 60 bytes push the count far past uint64:
-	// Count reports exact == false and the CLI must print the exact
+	// CountContext reports exact == false and the CLI must print the exact
 	// big-integer value — identically on the serial file path, the -j batch
 	// path, and the streaming stdin path.
 	pattern := gen.NestedPattern(12)
@@ -381,7 +382,7 @@ func TestCLICountOverflowPrintsExactValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, exact := sp.Count([]byte(doc)); exact {
+	if _, exact, err := sp.CountContext(context.Background(), []byte(doc)); err != nil || exact {
 		t.Fatal("count no longer overflows uint64; the test is vacuous")
 	}
 	want := sp.CountBig([]byte(doc)).String()
@@ -413,9 +414,9 @@ func TestCLICountOverflowPrintsExactValue(t *testing.T) {
 	}
 
 	// Overflow followed by total run death: an a-only nested pattern on a
-	// document ending in 'b' has exactly zero matches while the uint64 pass
-	// reports (0, exact == false). The CLI must print 0 AND exit 1 — the
-	// inexact flag alone no longer implies a match.
+	// document ending in 'b' has exactly zero matches although its
+	// per-state counts overflow uint64 on the way. The CLI must print 0 AND
+	// exit 1.
 	var nested strings.Builder
 	for i := 1; i <= 12; i++ {
 		fmt.Fprintf(&nested, "a*!x%d{", i)

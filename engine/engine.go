@@ -1,31 +1,33 @@
 // Package engine evaluates one compiled spanner over batches of documents
 // concurrently. It fans the documents of a batch out across a pool of
 // worker goroutines — each preprocessing into pooled evaluation scratch —
-// and merges the per-document match streams back into a single
-// deterministic sequence: matches are delivered grouped by document,
-// documents in input order, and matches within a document in the spanner's
-// canonical enumeration order (Algorithm 2's DFS order). The output of Run
-// is therefore byte-for-byte identical to a serial loop over the batch,
-// whatever the worker count.
+// and hands the per-document evaluations back in a single deterministic
+// sequence: documents in input order, and matches within a document in the
+// spanner's canonical enumeration order (Algorithm 2's DFS order). The
+// output of ProcessContext is therefore byte-for-byte identical to a
+// serial loop over the batch, whatever the worker count.
 //
 //	s := spanner.MustCompile(pattern)
 //	eng := engine.New(s, engine.Workers(8))
-//	for id, m := range eng.Run(docs) {
-//	    fmt.Println(id, m)
-//	}
+//	_, err := eng.ProcessContext(ctx, len(docs),
+//	    func(i engine.DocID) ([]byte, error) { return docs[i], nil },
+//	    func(i engine.DocID, ev *spanner.Evaluation, err error) bool {
+//	        ev.Enumerate(func(m *spanner.Match) bool { fmt.Println(i, m); return true })
+//	        return true
+//	    })
 //
 // The division of labor follows the paper's two phases: workers run the
 // document-sized preprocessing pass (Algorithm 1), the consumer replays
 // the constant-delay enumerations (Algorithm 2) in document order, so no
-// match is ever copied between goroutines. Consequently Run's *Match
-// follows the facade's ownership rule: it is a scratch buffer reused
-// across yields — Clone it to retain it. Use spanner.Spanner.Collect when
-// a batch of retained matches is wanted instead.
+// match is ever copied between goroutines. Consequently the *Match an
+// Evaluation yields follows the facade's ownership rule: it is a scratch
+// buffer reused across yields — Clone it to retain it. Map is the ordered
+// fan-in primitive for per-document work with small results, such as
+// counts.
 package engine
 
 import (
 	"context"
-	"iter"
 	"runtime"
 	"sync/atomic"
 
@@ -40,13 +42,12 @@ type Match = spanner.Match
 
 // Engine is a reusable batch evaluator for one compiled spanner. It is
 // immutable after New and safe for concurrent use; independent batches may
-// Run at the same time. That is what lets the cluster scatter layer share
+// run at the same time. That is what lets the cluster scatter layer share
 // one Engine across all shards of a corpus — one ProcessContext per shard,
 // concurrently — instead of building per-shard evaluator state.
 type Engine struct {
 	s       *spanner.Spanner
 	workers int
-	limit   int
 }
 
 // Option configures New.
@@ -55,19 +56,14 @@ type Option func(*Engine)
 // Workers requests a worker-pool size. Values below 1 (and the default)
 // select the hardware parallelism, the right size for pure CPU work over
 // in-memory documents. An explicit n is honored as given — above
-// GOMAXPROCS it buys nothing for Run's in-memory batches but is exactly
-// what Process wants when its loader blocks on I/O (files, object
+// GOMAXPROCS it buys nothing for in-memory batches but is exactly what
+// ProcessContext wants when its loader blocks on I/O (files, object
 // stores), where the pool size is the I/O concurrency. The pool is never
 // larger than the batch.
 func Workers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// Limit caps the number of matches emitted per document (0, the default,
-// means no cap). Enumeration of a document stops once its cap is reached;
-// the preprocessing pass is whole-document either way.
-func Limit(n int) Option { return func(e *Engine) { e.limit = n } }
-
 // New returns a batch evaluator over the compiled spanner s. The pool size
-// is resolved against GOMAXPROCS at each Run/Count call, so an Engine
+// is resolved against GOMAXPROCS at each ProcessContext call, so an Engine
 // created before a GOMAXPROCS change stays well-sized.
 func New(s *spanner.Spanner, opts ...Option) *Engine {
 	e := &Engine{s: s}
@@ -86,59 +82,25 @@ func (e *Engine) poolSize(n int) int {
 	return min(w, n)
 }
 
-// Run evaluates every document of the batch and returns a range-over-func
-// iterator over (document index, match) pairs in deterministic serial
-// order. Stopping the iteration early (break) stops the workers after
-// their in-flight documents; no goroutines are leaked.
+// ProcessContext evaluates a batch of n documents: documents are supplied
+// lazily by load — which runs on the worker pool, so slow or failing
+// sources (files, object stores) overlap with evaluation — preprocessed
+// concurrently (spanner.PreprocessContext), and handed to emit strictly in
+// input order on the calling goroutine. Exactly one of ev and err is
+// non-nil per emitted document: err is load's error for that document,
+// surfaced at the document's position so the consumer sees everything
+// before it first, exactly like a serial loop. emit returns false to stop
+// the batch.
 //
-// The heavy O(|A|·|doc|) preprocessing pass runs on the workers; the cheap
-// constant-delay enumeration runs on the consumer, in document order, so
-// no match is ever copied. Like Spanner.Enumerate, the yielded *Match is a
-// scratch buffer reused across calls — Clone it to retain it.
-//
-// The documents are read concurrently and must not be mutated while Run's
-// iterator is live.
-func (e *Engine) Run(docs [][]byte) iter.Seq2[DocID, *Match] {
-	return func(yield func(DocID, *Match) bool) {
-		e.Process(len(docs),
-			func(i DocID) ([]byte, error) { return docs[i], nil },
-			func(i DocID, ev *spanner.Evaluation, _ error) bool {
-				emitted, ok := 0, true
-				ev.Enumerate(func(m *Match) bool {
-					if !yield(i, m) {
-						ok = false
-						return false
-					}
-					emitted++
-					return e.limit == 0 || emitted < e.limit
-				})
-				return ok
-			})
-	}
-}
-
-// Process is the loader-based form of Run: documents are supplied lazily
-// by load — which runs on the worker pool, so slow or failing sources
-// (files, object stores) overlap with evaluation — preprocessed
-// concurrently, and handed to emit strictly in input order on the calling
-// goroutine. Exactly one of ev and err is non-nil per document: err is
-// load's error for that document, surfaced at the document's position so
-// the consumer sees everything before it first, exactly like a serial
-// loop. emit returns false to stop the batch.
-//
-// The Evaluation is valid only during the emit call (Process releases its
-// pooled scratch afterwards); Clone any match to retain. At most
-// 2×workers documents are resident at a time — loaded bytes and
+// The Evaluation is valid only during the emit call (ProcessContext
+// releases its pooled scratch afterwards); Clone any match to retain. At
+// most 2×workers documents are resident at a time — loaded bytes and
 // preprocessing arenas both — whatever the batch size.
-func (e *Engine) Process(n int, load func(DocID) ([]byte, error), emit func(DocID, *spanner.Evaluation, error) bool) {
-	_, _ = e.ProcessContext(context.Background(), n, load, emit)
-}
-
-// ProcessContext is Process with cancellation. When ctx is cancelled the
-// batch stops promptly at every stage: queued documents are skipped by the
-// workers, in-flight preprocessing passes abort between chunks
-// (spanner.PreprocessContext), and the consumer stops emitting — emit is
-// never called after the cancellation is observed. ProcessContext returns
+//
+// When ctx is cancelled the batch stops promptly at every stage: queued
+// documents are skipped by the workers, in-flight preprocessing passes
+// abort between chunks, and the consumer stops emitting — emit is never
+// called after the cancellation is observed. ProcessContext returns
 // ctx.Err() when the batch was cut short by the context, nil when every
 // document was emitted or emit stopped the batch itself. No goroutines are
 // leaked either way. (That promise is machine-checked: the goroleak
@@ -305,8 +267,8 @@ func (e *Engine) ProcessContext(ctx context.Context, n int, load func(DocID) ([]
 //
 // Map is the ordered fan-in primitive for per-index work whose results are
 // small (counts, summaries): every result is buffered until the consumer
-// reaches its index. Engine.Process serves the document-sized case, adding
-// ticketing that bounds the resident payloads to a 2×workers window.
+// reaches its index. Engine.ProcessContext serves the document-sized case,
+// adding ticketing that bounds the resident payloads to a 2×workers window.
 func Map[T any](workers, n int, fn func(int) T, emit func(int, T) bool) {
 	if n == 0 {
 		return
@@ -340,35 +302,4 @@ func Map[T any](workers, n int, fn func(int) T, emit func(int, T) bool) {
 			return
 		}
 	}
-}
-
-// Count evaluates the Theorem 5.1 counting pass over every document of the
-// batch concurrently and returns the per-document counts in input order.
-// exact[i] is false when count[i] overflowed uint64.
-func (e *Engine) Count(docs [][]byte) (counts []uint64, exact []bool) {
-	n := len(docs)
-	counts = make([]uint64, n)
-	exact = make([]bool, n)
-	if n == 0 {
-		return counts, exact
-	}
-	workers := e.poolSize(n)
-	jobs := make(chan int, n)
-	for i := range docs {
-		jobs <- i
-	}
-	close(jobs)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				counts[i], exact[i] = e.s.Count(docs[i])
-			}
-			done <- struct{}{}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return counts, exact
 }

@@ -3,8 +3,9 @@ package engine_test
 // The multi-document benchmark: aggregate throughput of evaluating one
 // compiled spanner over a batch of documents.
 //
-//   - serial:   the seed-era loop — one unpooled Iterator per document
-//     (every document pays the full DAG-arena allocation).
+//   - serial:   the seed-era loop — one unpooled core evaluation and
+//     pull iterator per document (every document pays the full DAG-arena
+//     allocation).
 //   - pooled:   serial Enumerate, which recycles evaluation scratch via
 //     the facade's sync.Pool.
 //   - workersN: the engine's worker pool (pooled scratch per worker plus
@@ -15,9 +16,11 @@ package engine_test
 // over the serial baseline.
 
 import (
+	"context"
 	"testing"
 
 	"spanners/engine"
+	"spanners/internal/core"
 	"spanners/internal/gen"
 	"spanners/spanner"
 )
@@ -38,12 +41,20 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	docs, total := benchBatch()
 
 	b.Run("serial", func(b *testing.B) {
+		d, err := spanner.Pipeline(gen.Figure1Pattern())
+		if err != nil {
+			b.Fatal(err)
+		}
+		dense, err := d.CompileDense()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.SetBytes(total)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n := 0
 			for _, doc := range docs {
-				it := s.Iterator(doc)
+				it := core.Evaluate(dense, doc).Iterator()
 				for {
 					if _, ok := it.Next(); !ok {
 						break
@@ -76,7 +87,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				for range e.Run(docs) {
+				for range run(e, docs) {
 					n++
 				}
 				if n == 0 {
@@ -96,15 +107,14 @@ func BenchmarkBatchCount(b *testing.B) {
 		b.SetBytes(total)
 		for i := 0; i < b.N; i++ {
 			for _, doc := range docs {
-				s.Count(doc)
+				_, _, _ = s.CountContext(context.Background(), doc)
 			}
 		}
 	})
 	b.Run("workers8", func(b *testing.B) {
-		e := engine.New(s, engine.Workers(8))
 		b.SetBytes(total)
 		for i := 0; i < b.N; i++ {
-			e.Count(docs)
+			countBatch(s, 8, docs)
 		}
 	})
 }

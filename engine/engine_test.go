@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"strings"
 	"sync"
@@ -60,9 +61,27 @@ func serialTrace(s *spanner.Spanner, docs [][]byte) []string {
 	return out
 }
 
+// run is the in-memory batch loop over ProcessContext: a range-over-func
+// iterator over (document index, match) pairs in serial order, whose break
+// stops the batch.
+func run(e *engine.Engine, docs [][]byte) iter.Seq2[engine.DocID, *engine.Match] {
+	return func(yield func(engine.DocID, *engine.Match) bool) {
+		_, _ = e.ProcessContext(context.Background(), len(docs),
+			func(i engine.DocID) ([]byte, error) { return docs[i], nil },
+			func(i engine.DocID, ev *spanner.Evaluation, _ error) bool {
+				ok := true
+				ev.Enumerate(func(m *engine.Match) bool {
+					ok = yield(i, m)
+					return ok
+				})
+				return ok
+			})
+	}
+}
+
 func engineTrace(e *engine.Engine, docs [][]byte) []string {
 	var out []string
-	for id, m := range e.Run(docs) {
+	for id, m := range run(e, docs) {
 		out = append(out, fmt.Sprintf("%d:%s", id, m.Key()))
 	}
 	return out
@@ -116,7 +135,7 @@ func TestRunEarlyStop(t *testing.T) {
 	e := engine.New(s, engine.Workers(4))
 	for _, stopAfter := range []int{0, 1, 7, len(want) - 1} {
 		var got []string
-		for id, m := range e.Run(docs) {
+		for id, m := range run(e, docs) {
 			if len(got) == stopAfter {
 				break
 			}
@@ -135,7 +154,7 @@ func TestRunEarlyStop(t *testing.T) {
 
 func TestRunClonedMatchesAreRetainable(t *testing.T) {
 	forceProcs(t, 8)
-	// Run yields reused scratch buffers (the facade's ownership rule);
+	// Evaluations yield reused scratch buffers (the facade's ownership rule);
 	// Cloned matches must stay valid after the whole batch — and its
 	// pooled scratches — have been churned through.
 	s := spanner.MustCompile(gen.Figure1Pattern())
@@ -148,7 +167,7 @@ func TestRunClonedMatchesAreRetainable(t *testing.T) {
 	}
 	var all []saved
 	e := engine.New(s, engine.Workers(8))
-	for id, m := range e.Run(docs) {
+	for id, m := range run(e, docs) {
 		c := m.Clone()
 		txt, _ := c.Text("name")
 		all = append(all, saved{id, c, c.Key(), txt})
@@ -163,36 +182,9 @@ func TestRunClonedMatchesAreRetainable(t *testing.T) {
 	}
 }
 
-func TestCollectMatchesAreRetainable(t *testing.T) {
-	// The batch-collection path for consumers that do want ownership:
-	// Collect's matches are independent copies.
-	s := spanner.MustCompile(gen.Figure1Pattern())
-	docs := batch(20)
-	var all []*spanner.Match
-	var wantKeys []string
-	for _, doc := range docs {
-		before := len(all)
-		all = s.Collect(all, doc, 0)
-		n := 0
-		s.Enumerate(doc, func(m *spanner.Match) bool { n++; return true })
-		if len(all)-before != n {
-			t.Fatalf("Collect returned %d matches, Enumerate %d", len(all)-before, n)
-		}
-	}
-	for _, m := range all {
-		wantKeys = append(wantKeys, m.Key())
-	}
-	// Churn the pool, then re-check the retained matches.
-	for i := 0; i < 5; i++ {
-		s.Enumerate(gen.Contacts(50, int64(i)), func(*spanner.Match) bool { return true })
-	}
-	for i, m := range all {
-		if m.Key() != wantKeys[i] {
-			t.Fatalf("collected match %d corrupted", i)
-		}
-	}
-}
-
+// TestLimit checks a per-document match cap applied in the emit callback:
+// stopping one Evaluation's enumeration early must leave the rest of the
+// batch running, in serial order.
 func TestLimit(t *testing.T) {
 	forceProcs(t, 8)
 	s := spanner.MustCompile(gen.Figure1Pattern())
@@ -210,8 +202,22 @@ func TestLimit(t *testing.T) {
 		})
 	}
 
-	e := engine.New(s, engine.Workers(4), engine.Limit(limit))
-	got := engineTrace(e, docs)
+	var got []string
+	e := engine.New(s, engine.Workers(4))
+	_, err := e.ProcessContext(context.Background(), len(docs),
+		func(i engine.DocID) ([]byte, error) { return docs[i], nil },
+		func(i engine.DocID, ev *spanner.Evaluation, _ error) bool {
+			n := 0
+			ev.Enumerate(func(m *engine.Match) bool {
+				got = append(got, fmt.Sprintf("%d:%s", i, m.Key()))
+				n++
+				return n < limit
+			})
+			return true
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("limited run disagrees with serial:\ngot  %v\nwant %v", got, want)
 	}
@@ -226,19 +232,29 @@ func TestLimit(t *testing.T) {
 	}
 }
 
+// countBatch counts every document of docs on an engine.Map pool.
+func countBatch(s *spanner.Spanner, workers int, docs [][]byte) (counts []uint64, exact []bool) {
+	counts = make([]uint64, len(docs))
+	exact = make([]bool, len(docs))
+	engine.Map(workers, len(docs),
+		func(i int) error {
+			var err error
+			counts[i], exact[i], err = s.CountContext(context.Background(), docs[i])
+			return err
+		},
+		func(int, error) bool { return true })
+	return counts, exact
+}
+
 func TestCount(t *testing.T) {
 	forceProcs(t, 8)
 	s := spanner.MustCompile(gen.Figure1Pattern())
 	docs := batch(50)
-	e := engine.New(s, engine.Workers(8))
-	counts, exact := e.Count(docs)
-	if len(counts) != len(docs) || len(exact) != len(docs) {
-		t.Fatalf("result lengths %d/%d, want %d", len(counts), len(exact), len(docs))
-	}
+	counts, exact := countBatch(s, 8, docs)
 	for i, doc := range docs {
-		want, wantExact := s.Count(doc)
-		if counts[i] != want || exact[i] != wantExact {
-			t.Fatalf("doc %d: Count = (%d, %v), want (%d, %v)", i, counts[i], exact[i], want, wantExact)
+		want := s.CountBig(doc)
+		if !exact[i] || !want.IsUint64() || counts[i] != want.Uint64() {
+			t.Fatalf("doc %d: Count = (%d, %v), want (%v, true)", i, counts[i], exact[i], want)
 		}
 	}
 }
@@ -246,10 +262,10 @@ func TestCount(t *testing.T) {
 func TestEmptyBatchAndDefaults(t *testing.T) {
 	s := spanner.MustCompile(gen.Figure1Pattern())
 	e := engine.New(s) // default workers
-	for id, m := range e.Run(nil) {
+	for id, m := range run(e, nil) {
 		t.Fatalf("unexpected output %d %v", id, m)
 	}
-	counts, exact := e.Count(nil)
+	counts, exact := countBatch(s, 0, nil)
 	if len(counts) != 0 || len(exact) != 0 {
 		t.Fatal("empty batch must produce empty counts")
 	}
@@ -286,7 +302,7 @@ func TestProcessBackpressureLiveness(t *testing.T) {
 		defer close(done)
 		for round := 0; round < 8; round++ {
 			n := 0
-			e.Process(len(docs),
+			_, _ = e.ProcessContext(context.Background(), len(docs),
 				func(i engine.DocID) ([]byte, error) {
 					runtime.Gosched()
 					return docs[i], nil
@@ -309,7 +325,7 @@ func TestProcessBackpressureLiveness(t *testing.T) {
 			t.Error(f)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("Process deadlocked under loader backpressure")
+		t.Fatal("ProcessContext deadlocked under loader backpressure")
 	}
 }
 
@@ -361,7 +377,7 @@ func TestMapOrderedAndEarlyStop(t *testing.T) {
 
 func TestProcessLoaderErrorsInOrder(t *testing.T) {
 	forceProcs(t, 8)
-	// Process must deliver a load error at the document's position, after
+	// ProcessContext must deliver a load error at the document's position, after
 	// every earlier document's matches; stopping there must not leak.
 	s := spanner.MustCompile(gen.Figure1Pattern())
 	docs := batch(20)
@@ -369,7 +385,7 @@ func TestProcessLoaderErrorsInOrder(t *testing.T) {
 	e := engine.New(s, engine.Workers(4))
 
 	var trace []string
-	e.Process(len(docs),
+	_, _ = e.ProcessContext(context.Background(), len(docs),
 		func(i engine.DocID) ([]byte, error) {
 			if i == failAt {
 				return nil, fmt.Errorf("load %d failed", i)
@@ -395,24 +411,22 @@ func TestProcessLoaderErrorsInOrder(t *testing.T) {
 	}
 }
 
-// TestComposedSpannerThroughEngine checks that an algebra-composed spanner
-// is an ordinary citizen of the batch pool: a union-of-joins spanner run
-// through Engine.Run produces exactly the serial trace, at every worker
-// count and in both determinization modes.
+// TestComposedSpannerThroughEngine checks that a query-composed spanner is
+// an ordinary citizen of the batch pool: a union and a join of it run
+// through Engine.ProcessContext produce exactly the serial trace, at every
+// worker count and in both determinization modes.
 func TestComposedSpannerThroughEngine(t *testing.T) {
 	forceProcs(t, 8)
 	docs := batch(60)
 	emails := gen.Figure1Pattern()
 	numbers := `.*!num{(0|1|2|3|4|5|6|7|8|9)+}.*`
 	for _, mode := range []spanner.Option{spanner.WithStrict(), spanner.WithLazy()} {
-		s1 := spanner.MustCompile(emails, mode)
-		s2 := spanner.MustCompile(numbers, mode)
-		u, err := spanner.Union(s1, s2, mode)
+		union := spanner.Pattern(emails).Union(spanner.Pattern(numbers))
+		u, err := union.Compile(mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		filter := spanner.MustCompile(`.*@.*`, mode)
-		j, err := spanner.Join(u, filter, mode)
+		j, err := union.Join(spanner.Pattern(`.*@.*`)).Compile(mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,23 +466,15 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // TestProcessContextBackgroundMatchesProcess pins that ProcessContext with
-// a background context is Process: same deliveries, nil error.
+// a background context delivers the serial trace of the whole batch, with
+// a nil error and every document emitted.
 func TestProcessContextBackgroundMatchesProcess(t *testing.T) {
 	forceProcs(t, 4)
 	s := spanner.MustCompile(gen.Figure1Pattern())
 	docs := batch(40)
 	eng := engine.New(s)
 
-	var viaProcess, viaCtx []string
-	eng.Process(len(docs),
-		func(i engine.DocID) ([]byte, error) { return docs[i], nil },
-		func(i engine.DocID, ev *spanner.Evaluation, err error) bool {
-			ev.Enumerate(func(m *engine.Match) bool {
-				viaProcess = append(viaProcess, fmt.Sprintf("%d:%s", i, m.Key()))
-				return true
-			})
-			return true
-		})
+	var viaCtx []string
 	emitted, err := eng.ProcessContext(context.Background(), len(docs),
 		func(i engine.DocID) ([]byte, error) { return docs[i], nil },
 		func(i engine.DocID, ev *spanner.Evaluation, err error) bool {
@@ -484,8 +490,8 @@ func TestProcessContextBackgroundMatchesProcess(t *testing.T) {
 	if emitted != len(docs) {
 		t.Fatalf("emitted = %d, want the full batch of %d", emitted, len(docs))
 	}
-	if fmt.Sprint(viaProcess) != fmt.Sprint(viaCtx) {
-		t.Fatal("ProcessContext(Background) deliveries differ from Process")
+	if fmt.Sprint(serialTrace(s, docs)) != fmt.Sprint(viaCtx) {
+		t.Fatal("ProcessContext(Background) deliveries differ from the serial loop")
 	}
 }
 

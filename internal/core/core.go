@@ -13,9 +13,9 @@
 // pull-based (Result.Iterator); the delay between consecutive outputs is
 // O(ℓ) in the number of variables — constant in the document.
 //
-// Count (Algorithm 3, appendix C) reuses the same two-procedure loop but
-// keeps only the number of partial runs per state, computing |⟦A⟧d| in
-// O(|A| × |d|).
+// CountStream (Algorithm 3, appendix C) reuses the same two-procedure loop
+// but keeps only the number of partial runs per state, computing |⟦A⟧d| in
+// O(|A| × |d|) over a document fed chunk by chunk.
 package core
 
 import (

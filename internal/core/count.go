@@ -4,59 +4,6 @@ import (
 	"math/big"
 )
 
-// Count implements Algorithm 3 (appendix C): it computes |⟦A⟧d| for a
-// deterministic sequential eVA in time O(|A| × |d|) by replacing each node
-// list of Algorithm 1 with the number of partial runs reaching the state.
-// Because the automaton is sequential (every partial run encodes a valid
-// partial mapping) and deterministic (each partial run encodes a distinct
-// partial mapping), the run count per state equals the partial-mapping
-// count, and summing over the final states yields |⟦A⟧d|.
-//
-// Counts use uint64 arithmetic — the uniform-cost RAM model the paper
-// assumes; exact reports whether the result is free of overflow (counts
-// grow like n^2ℓ, so overflow is reachable on purpose-built inputs). When
-// exact is false, count is still well-defined: every addition wraps modulo
-// 2^64, so the returned value is the low 64 bits of the true |⟦A⟧d| — the
-// same contract CountStream.Count keeps after big-integer migration. Use
-// CountBig for the full value.
-//
-// The pass stops as soon as the live state set drains: once no partial run
-// survives, no later byte can revive one, so a document whose prefix kills
-// the automaton costs only the prefix (the property Spanner.IsEmpty relies
-// on for cheap rejection).
-func Count(a Automaton, doc []byte) (count uint64, exact bool) {
-	c := &counter{a: a}
-	q0 := a.Initial()
-	c.ensure(q0)
-	c.counts[q0] = 1
-	c.inLive[q0] = true
-	c.live = append(c.live, q0)
-
-	var gate accelGate
-	gate.init(a)
-	for i, last := 0, 0; i < len(doc) && len(c.live) > 0; {
-		// Counting admits the same bulk skip as enumeration: over an inert
-		// byte the Capturing+Reading round maps the singleton configuration
-		// (and its run counts) to itself, and the counting pass tracks no
-		// positions at all.
-		if gate.on {
-			if q, ok := gate.scanState(c.live); ok {
-				n := gate.trySkip(q, doc[i:], i-last)
-				last = i + n
-				if n > 0 {
-					i += n
-					continue
-				}
-			}
-		}
-		c.capturing()
-		c.reading(doc[i])
-		i++
-	}
-	c.capturing()
-	return c.total()
-}
-
 // total sums the counts of the accepting live states; exact is false when
 // any step of the computation overflowed uint64 (the sum is then the low
 // 64 bits of the true total).
@@ -152,37 +99,6 @@ func (c *counter) reading(ch byte) {
 	c.live, c.nextLive = c.nextLive, c.live
 }
 
-// CountBig is Count with arbitrary-precision arithmetic. It shares the
-// same O(|A| × |d|) structure; each arithmetic step costs the size of the
-// count's representation instead of O(1).
-func CountBig(a Automaton, doc []byte) *big.Int {
-	c := &bigCounter{a: a}
-	q0 := a.Initial()
-	c.ensure(q0)
-	c.counts[q0] = big.NewInt(1)
-	c.live = append(c.live, q0)
-
-	var gate accelGate
-	gate.init(a)
-	for i, last := 0, 0; i < len(doc) && len(c.live) > 0; {
-		if gate.on {
-			if q, ok := gate.scanState(c.live); ok {
-				n := gate.trySkip(q, doc[i:], i-last)
-				last = i + n
-				if n > 0 {
-					i += n
-					continue
-				}
-			}
-		}
-		c.capturing()
-		c.reading(doc[i])
-		i++
-	}
-	c.capturing()
-	return c.total()
-}
-
 // total sums the counts of the accepting live states.
 func (c *bigCounter) total() *big.Int {
 	total := new(big.Int)
@@ -271,18 +187,25 @@ func (c *bigCounter) reading(ch byte) {
 	c.live, c.nextLive = c.nextLive, c.live
 }
 
-// CountStream is the incremental form of the Algorithm 3 counting pass:
-// Feed advances the per-state run counts chunk-by-chunk and Close runs the
-// final Capturing, so |⟦A⟧d| can be computed over a document that is never
-// materialized (counting, unlike enumeration, needs no document bytes).
+// CountStream implements Algorithm 3 (appendix C): it computes |⟦A⟧d| for
+// a deterministic sequential eVA in time O(|A| × |d|) by replacing each node
+// list of Algorithm 1 with the number of partial runs reaching the state.
+// Because the automaton is sequential (every partial run encodes a valid
+// partial mapping) and deterministic (each partial run encodes a distinct
+// partial mapping), the run count per state equals the partial-mapping
+// count, and summing over the final states yields |⟦A⟧d|. Feed advances
+// the per-state run counts chunk-by-chunk and Close runs the final
+// Capturing, so the document is never materialized (counting, unlike
+// enumeration, needs no document bytes).
 //
 // Counts run in uint64 — the paper's uniform-cost RAM model — until the
-// first overflow. The stream snapshots its O(states) counter state at each
-// chunk boundary; when a chunk overflows, it rewinds to the snapshot,
-// replays that chunk with arbitrary-precision arithmetic, and stays in big
-// mode from then on. Count therefore reports exact uint64 results whenever
-// they fit, while CountBig is exact always, in a single pass over the
-// input. A CountStream is not goroutine-safe.
+// first overflow (counts grow like n^2ℓ, so overflow is reachable on
+// purpose-built inputs). The stream snapshots its O(states) counter state
+// at each chunk boundary; when a chunk overflows, it rewinds to the
+// snapshot, replays that chunk with arbitrary-precision arithmetic, and
+// stays in big mode from then on. Count therefore reports exact uint64
+// results whenever |⟦A⟧d| fits, while CountBig is exact always, in a single
+// pass over the input. A CountStream is not goroutine-safe.
 type CountStream struct {
 	a      Automaton
 	c      counter
@@ -327,6 +250,10 @@ func (s *CountStream) Feed(chunk []byte) {
 		}
 		s.snapshot()
 		for i, last := 0, 0; i < len(chunk) && len(s.c.live) > 0; {
+			// Counting admits the same bulk skip as enumeration: over an
+			// inert byte the Capturing+Reading round maps the singleton
+			// configuration (and its run counts) to itself, and the
+			// counting pass tracks no positions at all.
 			if s.gate.on {
 				if q, ok := s.gate.scanState(s.c.live); ok {
 					n := s.gate.trySkip(q, chunk[i:], i-last)
@@ -419,13 +346,10 @@ func (s *CountStream) Close() {
 	s.bc.capturing()
 }
 
-// Count returns |⟦A⟧d| for the document fed so far; exact is false when the
-// count does not fit in uint64 (use CountBig then). This is a stronger
-// exactness guarantee than the one-shot Count's: after migrating to big
-// arithmetic the stream still knows the true total, so it reports exact
-// results on documents whose intermediate per-state counts overflow but
-// whose |⟦A⟧d| fits — where Count can only report exact == false. The two
-// agree whenever Count reports exact == true.
+// Count returns |⟦A⟧d| for the document fed so far; exact is false only
+// when |⟦A⟧d| itself does not fit in uint64 (use CountBig then). An
+// intermediate per-state overflow alone never makes it inexact: after
+// migrating to big arithmetic the stream still knows the true total.
 //
 // When exact is false, count is the low 64 bits of the true total — the
 // same value on both internal paths: uint64 arithmetic wraps modulo 2^64

@@ -9,10 +9,13 @@ package core
 // deterministically.
 
 import (
+	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 
 	"spanners/internal/model"
+	"spanners/internal/rgx"
 )
 
 // fakeAutomaton is a minimal deterministic Automaton for counter tests:
@@ -79,21 +82,17 @@ func repeatA(n int) []byte {
 // TestInexactCountIsLow64Bits pins the unified contract: whenever exact is
 // false, the returned count is the true total reduced modulo 2^64 — on the
 // never-migrated uint64 path (per-state counts fit, only the final
-// summation wraps) and on the big-integer path after migration alike, and
-// identically for the one-shot Count.
+// summation wraps) and on the big-integer path after migration alike.
 func TestInexactCountIsLow64Bits(t *testing.T) {
 	mask := new(big.Int).SetUint64(^uint64(0))
 	wantLow := func(a Automaton, doc []byte) uint64 {
-		return new(big.Int).And(CountBig(a, doc), mask).Uint64()
+		return new(big.Int).And(CountBigDoc(a, doc), mask).Uint64()
 	}
 
 	t.Run("uint64 path", func(t *testing.T) {
 		a := doublerAutomaton()
 		doc := repeatA(63) // total 5·2^63−1 > 2^64, every per-state count fits
 		want := wantLow(a, doc)
-		if got, exact := Count(a, doc); exact || got != want {
-			t.Fatalf("Count = (%d, %v), want (%d, false)", got, exact, want)
-		}
 		s := NewCountStream(a)
 		s.Feed(doc)
 		if s.bc != nil {
@@ -123,10 +122,6 @@ func TestInexactCountIsLow64Bits(t *testing.T) {
 		}
 		if want == 0 {
 			t.Fatal("low 64 bits are zero: the case cannot distinguish the old (0, false) contract")
-		}
-		// The one-shot Count wraps to the same value.
-		if oneshot, exact := Count(a, doc); exact || oneshot != want {
-			t.Fatalf("Count = (%d, %v), want (%d, false)", oneshot, exact, want)
 		}
 	})
 }
@@ -222,14 +217,11 @@ func TestInitialStateCaptureSelfLoop(t *testing.T) {
 		letters: []map[byte]int{nil},
 	}
 	// On the empty document: the empty mapping plus x = [1,1⟩ — exactly 2.
-	if got, exact := Count(a, nil); !exact || got != 2 {
-		t.Fatalf("Count = (%d, %v), want (2, true)", got, exact)
-	}
 	s := NewCountStream(a)
 	if got, exact := s.Count(); !exact || got != 2 {
 		t.Fatalf("CountStream.Count = (%d, %v), want (2, true)", got, exact)
 	}
-	if got := CountBig(a, nil); !got.IsUint64() || got.Uint64() != 2 {
+	if got := s.CountBig(); !got.IsUint64() || got.Uint64() != 2 {
 		t.Fatalf("CountBig = %v, want 2", got)
 	}
 }
@@ -267,27 +259,20 @@ func deadEndAutomaton() *fakeAutomaton {
 	}
 }
 
-// TestCountEarlyExitOnDeadPrefix checks that all counting passes stop
-// doing per-byte work once the live set drains: the number of Step calls
-// must be proportional to where the automaton dies, not to |doc|.
+// TestCountEarlyExitOnDeadPrefix checks that the counting pass stops doing
+// per-byte work once the live set drains — within one Feed, across Feeds,
+// and after migration to big arithmetic: the number of Step calls must be
+// proportional to where the automaton dies, not to |doc|.
 func TestCountEarlyExitOnDeadPrefix(t *testing.T) {
 	doc := append(repeatA(10), make([]byte, 100000)...) // dies at byte 11
 	const maxSteps = 20                                 // 11 live bytes, one state each
 
 	a := deadEndAutomaton()
-	if n, exact := Count(a, doc); !exact || n != 0 {
+	if n, exact := CountDoc(a, doc); !exact || n != 0 {
 		t.Fatalf("Count = (%d, %v), want (0, true)", n, exact)
 	}
 	if a.steps > maxSteps {
-		t.Fatalf("Count made %d Step calls on a document dead after byte 11", a.steps)
-	}
-
-	a = deadEndAutomaton()
-	if n := CountBig(a, doc); n.Sign() != 0 {
-		t.Fatalf("CountBig = %v, want 0", n)
-	}
-	if a.steps > maxSteps {
-		t.Fatalf("CountBig made %d Step calls on a document dead after byte 11", a.steps)
+		t.Fatalf("one Feed made %d Step calls on a document dead after byte 11", a.steps)
 	}
 
 	a = deadEndAutomaton()
@@ -320,5 +305,53 @@ func TestCountEarlyExitOnDeadPrefix(t *testing.T) {
 	}
 	if n, exact := s.Count(); !exact || n != 0 {
 		t.Fatalf("dead migrated stream Count = (%d, %v), want (0, true)", n, exact)
+	}
+}
+
+// TestCountStreamExactnessIsOneWay pins the exactness contract on a branch
+// whose per-state counts overflow uint64 mid-document but whose runs all
+// die before accepting: the stream migrates to big integers at the
+// overflow and still knows the true total (here 1, from the other branch),
+// so every Feed chunking reports (1, true). An intermediate overflow never
+// weakens exactness; only a total beyond uint64 does.
+func TestCountStreamExactnessIsOneWay(t *testing.T) {
+	// (a*!x1{a*...!x12{a*}...a*})|(a*b) over a^60 b: the nested branch
+	// overflows during the a's (cf. TestCountStreamOverflowMigration), then
+	// dies at the b; the a*b branch contributes the single empty mapping.
+	var b strings.Builder
+	b.WriteString("(")
+	for i := 1; i <= 12; i++ {
+		fmt.Fprintf(&b, "a*!x%d{", i)
+	}
+	b.WriteString("a*")
+	for i := 1; i <= 12; i++ {
+		b.WriteString("}a*")
+	}
+	b.WriteString(")|(a*b)")
+	v, err := rgx.Compile(rgx.MustParse(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := v.ToExtended().Trim()
+	if !e.IsSequential() {
+		e = e.Sequentialize().Trim()
+	}
+	d := e.Determinize()
+	doc := append(repeatA(60), 'b')
+
+	for _, size := range []int{len(doc), 1, 7, 32} {
+		s := NewCountStream(d)
+		for i := 0; i < len(doc); i += size {
+			s.Feed(doc[i:min(i+size, len(doc))])
+		}
+		if s.bc == nil {
+			t.Fatalf("chunk size %d: stream never migrated; the construction no longer overflows, the test is vacuous", size)
+		}
+		if n, exact := s.Count(); !exact || n != 1 {
+			t.Fatalf("chunk size %d: CountStream = (%d, %v), want (1, true)", size, n, exact)
+		}
+		if n := s.CountBig(); n.Cmp(big.NewInt(1)) != 0 {
+			t.Fatalf("chunk size %d: CountBig = %v, want 1", size, n)
+		}
 	}
 }

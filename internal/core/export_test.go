@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/big"
 	"sort"
 	"strings"
 )
@@ -74,4 +75,19 @@ func FinalListSizes(r *Result) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// CountDoc runs a CountStream over doc in a single Feed: the one-shot count
+// the tests compare enumerations and chunked streams against.
+func CountDoc(a Automaton, doc []byte) (count uint64, exact bool) {
+	s := NewCountStream(a)
+	s.Feed(doc)
+	return s.Count()
+}
+
+// CountBigDoc is CountDoc with arbitrary-precision arithmetic.
+func CountBigDoc(a Automaton, doc []byte) *big.Int {
+	s := NewCountStream(a)
+	s.Feed(doc)
+	return s.CountBig()
 }

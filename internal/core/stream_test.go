@@ -1,15 +1,12 @@
 package core_test
 
 import (
-	"bytes"
-	"fmt"
-	"math/big"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"spanners/internal/core"
 	"spanners/internal/gen"
+	"spanners/internal/model"
 	"spanners/internal/rgx"
 )
 
@@ -167,78 +164,49 @@ func TestScratchReuseStopsAllocating(t *testing.T) {
 	}
 }
 
-// TestCountStreamMatchesCount checks full (count, exact) agreement on
-// inputs whose counting never overflows uint64 — the only regime where
-// Count's results are reliable and equality is guaranteed.
-// TestCountStreamExactnessIsOneWay covers the overflow regime.
+// TestCountStreamMatchesCount checks the chunked counting pass against a
+// single-Feed pass, whatever the Feed boundaries — and, where the output is
+// small enough to enumerate, against the number of mappings the
+// enumeration produces: (count, exact) must be (that number, true) and
+// CountBig must agree. TestCountStreamExactnessIsOneWay
+// (count_internal_test.go) covers the regime where per-state counts
+// overflow.
 func TestCountStreamMatchesCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
+	enumerated := 0
 	for _, pattern := range []string{gen.Figure1Pattern(), gen.NestedPattern(2)} {
 		d := pipeline(t, pattern)
 		for _, doc := range [][]byte{nil, gen.Figure1Doc(), gen.Contacts(30, 4)} {
-			wantN, wantExact := core.Count(d, doc)
+			want, exact := core.CountDoc(d, doc)
+			if !exact {
+				t.Fatalf("pattern %q doc %q: count overflowed uint64", pattern, doc)
+			}
+			if want <= 1e5 {
+				var n uint64
+				core.Evaluate(d, doc).Enumerate(func(*model.Mapping) bool { n++; return true })
+				if n != want {
+					t.Fatalf("pattern %q doc %q: Count = %d, enumerated %d", pattern, doc, want, n)
+				}
+				enumerated++
+			}
 			for trial := 0; trial < 5; trial++ {
 				s := core.NewCountStream(d)
 				for _, c := range chunks(doc, rng) {
 					s.Feed(c)
 				}
 				gotN, gotExact := s.Count()
-				if gotN != wantN || gotExact != wantExact {
-					t.Fatalf("pattern %q doc %q: CountStream = (%d, %v), want (%d, %v)",
-						pattern, doc, gotN, gotExact, wantN, wantExact)
+				if gotN != want || !gotExact {
+					t.Fatalf("pattern %q doc %q: CountStream = (%d, %v), want (%d, true)",
+						pattern, doc, gotN, gotExact, want)
 				}
-				if big := s.CountBig(); big.Uint64() != wantN {
-					t.Fatalf("CountBig = %v, want %d", big, wantN)
+				if big := s.CountBig(); !big.IsUint64() || big.Uint64() != want {
+					t.Fatalf("CountBig = %v, want %d", big, want)
 				}
 			}
 		}
 	}
-}
-
-// TestCountStreamExactnessIsOneWay pins down the intended semantics where
-// Count and CountStream diverge: a branch whose per-state counts overflow
-// uint64 mid-document but whose runs all die before accepting. Count's
-// arithmetic is corrupted by then, so it must conservatively report
-// exact == false; CountStream migrates to big integers at the overflow and
-// still knows the true total (here 1, from the other branch), so it
-// reports the exact count. The stream's exactness is strictly stronger —
-// never weaker — than Count's.
-func TestCountStreamExactnessIsOneWay(t *testing.T) {
-	// (a*!x1{a*...!x12{a*}...a*})|(a*b) over a^60 b: the nested branch
-	// overflows during the a's (cf. TestCountStreamOverflowMigration), then
-	// dies at the b; the a*b branch contributes the single empty mapping.
-	var b strings.Builder
-	b.WriteString("(")
-	for i := 1; i <= 12; i++ {
-		fmt.Fprintf(&b, "a*!x%d{", i)
-	}
-	b.WriteString("a*")
-	for i := 1; i <= 12; i++ {
-		b.WriteString("}a*")
-	}
-	b.WriteString(")|(a*b)")
-	d := pipeline(t, b.String())
-	doc := append(bytes.Repeat([]byte("a"), 60), 'b')
-
-	if want := core.CountBig(d, doc); want.Cmp(big.NewInt(1)) != 0 {
-		t.Fatalf("CountBig = %v, want 1; the construction no longer overflows-and-dies", want)
-	}
-	n, exact := core.Count(d, doc)
-	if exact {
-		t.Fatal("Count reported exact: intermediate counts no longer overflow, the test is vacuous")
-	}
-	_ = n // unreliable by contract once exact == false
-
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 5; trial++ {
-		s := core.NewCountStream(d)
-		for _, c := range chunks(doc, rng) {
-			s.Feed(c)
-		}
-		gotN, gotExact := s.Count()
-		if !gotExact || gotN != 1 {
-			t.Fatalf("trial %d: CountStream = (%d, %v), want (1, true)", trial, gotN, gotExact)
-		}
+	if enumerated < 4 {
+		t.Fatalf("only %d cases were small enough to enumerate", enumerated)
 	}
 }
 
@@ -252,7 +220,7 @@ func TestCountStreamOverflowMigration(t *testing.T) {
 	}
 	d := v.ToExtended().Determinize()
 	doc := gen.RandomDoc(60, "a", 1)
-	want := core.CountBig(d, doc)
+	want := core.CountBigDoc(d, doc)
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {

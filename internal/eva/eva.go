@@ -107,9 +107,6 @@ func (a *EVA) NumCaptureTransitions() int {
 	return n
 }
 
-// Size returns |A| measured as states plus transition edges.
-func (a *EVA) Size() int { return a.NumStates() + a.NumTransitions() }
-
 // Letters returns the letter transitions leaving q; shared slice, do not
 // mutate.
 func (a *EVA) Letters(q int) []model.Letter { return a.letters[q] }

@@ -285,9 +285,6 @@ func TestUsedVarsAndSizes(t *testing.T) {
 	if a.NumCaptureTransitions() != 7 {
 		t.Fatalf("capture transitions = %d, want 7", a.NumCaptureTransitions())
 	}
-	if a.Size() != a.NumStates()+a.NumTransitions() {
-		t.Fatal("Size must be states + transitions")
-	}
 }
 
 func TestCloneIndependent(t *testing.T) {

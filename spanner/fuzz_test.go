@@ -10,8 +10,8 @@ package spanner_test
 //     random regex formulas (order may differ: their subset automata
 //     number states differently), and identical counts when enumeration
 //     would be too large.
-//   - FuzzStreamChunking: EnumerateReader over any chunking of a document
-//     is byte-identical to Enumerate over the concatenation.
+//   - FuzzStreamChunking: EnumerateReaderContext over any chunking of a
+//     document is byte-identical to Enumerate over the concatenation.
 //   - FuzzQueryPlanEquivalence: for random query trees, the optimized and
 //     unoptimized plans produce identical mapping sets and counts, in both
 //     determinization modes.
@@ -42,8 +42,8 @@ var fuzzPatterns = []struct {
 	{spanner.MustCompile(gen.NestedPattern(2)), spanner.MustCompile(gen.NestedPattern(2), spanner.WithLazy()), 20},
 }
 
-// chunkedKeys streams doc through EnumerateReader in pseudo-random chunks
-// and returns the ordered match keys.
+// chunkedKeys streams doc through EnumerateReaderContext in pseudo-random
+// chunks and returns the ordered match keys.
 func chunkedKeys(t *testing.T, s *spanner.Spanner, doc []byte, rng *rand.Rand) []string {
 	t.Helper()
 	var sizes []int
@@ -54,7 +54,7 @@ func chunkedKeys(t *testing.T, s *spanner.Spanner, doc []byte, rng *rand.Rand) [
 	}
 	r := &randChunkReader{data: doc, sizes: sizes}
 	var got []string
-	if err := s.EnumerateReader(r, func(m *spanner.Match) bool {
+	if err := s.EnumerateReaderContext(bg, r, func(m *spanner.Match) bool {
 		got = append(got, m.Key())
 		return true
 	}); err != nil {
@@ -144,8 +144,8 @@ func FuzzStrictLazyEquivalence(f *testing.F) {
 			doc[i] = 'a' + b%2
 		}
 
-		wantN, exactN := strict.Count(doc)
-		gotN, exactL := lazy.Count(doc)
+		wantN, exactN := count(t, strict, doc)
+		gotN, exactL := count(t, lazy, doc)
 		if wantN != gotN || exactN != exactL {
 			t.Fatalf("counts diverge: strict (%d, %v), lazy (%d, %v)\npattern %s doc %q",
 				wantN, exactN, gotN, exactL, node, doc)
@@ -209,9 +209,9 @@ func FuzzQueryPlanEquivalence(f *testing.F) {
 			doc[i] = 'a' + b%2
 		}
 
-		wantN, wantExact := unopt.Count(doc)
+		wantN, wantExact := count(t, unopt, doc)
 		for _, s := range []*spanner.Spanner{opt, lazyOpt} {
-			if n, exact := s.Count(doc); n != wantN || exact != wantExact {
+			if n, exact := count(t, s, doc); n != wantN || exact != wantExact {
 				t.Fatalf("counts diverge on %s: optimized (%s mode) (%d, %v), unoptimized (%d, %v)\ndoc %q",
 					qt.q, s.Mode(), n, exact, wantN, wantExact, doc)
 			}
@@ -242,8 +242,9 @@ func sortedKeys(s *spanner.Spanner, doc []byte) []string {
 }
 
 // FuzzAlgebraOracle is the algebra half of the differential harness: for
-// random pattern pairs and documents it checks Union, Join and Project
-// against the set-theoretic composition of brute-force oracle results.
+// random pattern pairs and documents it checks the Query API's Union, Join
+// and Project against the set-theoretic composition of brute-force oracle
+// results.
 // Documents are kept tiny — the oracle enumerates every candidate marker
 // placement, exponential in the variable count.
 func FuzzAlgebraOracle(f *testing.F) {
@@ -258,8 +259,7 @@ func FuzzAlgebraOracle(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		s2, err := spanner.CompileNode(n2)
-		if err != nil {
+		if _, err := spanner.CompileNode(n2); err != nil {
 			t.Skip()
 		}
 		if len(raw) > 5 {
@@ -272,16 +272,11 @@ func FuzzAlgebraOracle(f *testing.F) {
 		p1, p2 := n1.String(), n2.String()
 		o1, o2 := oracleSet(t, p1, doc), oracleSet(t, p2, doc)
 
-		union, err := spanner.Union(s1, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q1, q2 := spanner.Pattern(p1), spanner.Pattern(p2)
+		union := compileQuery(t, q1.Union(q2))
 		assertSet(t, "fuzz union", union, doc, model.UnionSets(o1, o2))
 
-		join, err := spanner.Join(s1, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		join := compileQuery(t, q1.Join(q2))
 		wantJ, err := model.JoinSets(o1, o2, spannerRegistry(t, p1), spannerRegistry(t, p2))
 		if err != nil {
 			t.Fatal(err)
@@ -289,10 +284,7 @@ func FuzzAlgebraOracle(f *testing.F) {
 		assertSet(t, "fuzz join", join, doc, wantJ)
 
 		keep := knownVars(s1, []string{"x"})
-		proj, err := spanner.Project(s1, keep)
-		if err != nil {
-			t.Fatal(err)
-		}
+		proj := compileQuery(t, q1.Project(keep...))
 		wantP, err := model.ProjectSet(o1, keep, model.NewRegistryOf(keep...))
 		if err != nil {
 			t.Fatal(err)

@@ -29,8 +29,8 @@ type Binding struct {
 }
 
 // Match is one output mapping: a partial assignment of the pattern's
-// capture variables to spans of the document. Matches handed out by
-// Iterator.Next and Enumerate are reused scratch buffers; Clone to retain.
+// capture variables to spans of the document. Matches handed to an
+// enumeration's yield are reused scratch buffers; Clone to retain.
 type Match struct {
 	doc   []byte
 	names []string
@@ -97,53 +97,6 @@ func (m *Match) Clone() *Match {
 	return c
 }
 
-// matchAlloc hands out Match values and span storage in chunks of
-// geometrically growing size, so collecting k matches costs O(log k)
-// allocations instead of 2k without over-allocating for small documents.
-// The handed-out matches remain immutable and independent; they merely
-// share backing arrays, so retaining one match keeps its chunk alive.
-type matchAlloc struct {
-	matches []Match
-	spans   []model.Span
-	next    int
-}
-
-func (a *matchAlloc) clone(m *Match) *Match {
-	nv := len(m.spans)
-	if len(a.matches) == 0 {
-		switch {
-		case a.next == 0:
-			a.next = 8
-		case a.next < 256:
-			a.next *= 2
-		}
-		a.matches = make([]Match, a.next)
-		a.spans = make([]model.Span, a.next*nv)
-	}
-	c := &a.matches[0]
-	a.matches = a.matches[1:]
-	*c = Match{doc: m.doc, names: m.names, reg: m.reg, spans: a.spans[:nv:nv]}
-	a.spans = a.spans[nv:]
-	copy(c.spans, m.spans)
-	return c
-}
-
-// Collect enumerates doc, appends an independent copy of every match to
-// dst and returns the extended slice. limit > 0 caps the number of
-// collected matches. Unlike Enumerate's scratch buffers, the returned
-// matches are retainable as-is, and the clone allocations are amortized
-// across the batch — the convenient form for callers that want an owned
-// result set rather than Enumerate's zero-copy callback discipline.
-func (s *Spanner) Collect(dst []*Match, doc []byte, limit int) []*Match {
-	var a matchAlloc
-	start := len(dst)
-	s.Enumerate(doc, func(m *Match) bool {
-		dst = append(dst, a.clone(m))
-		return limit == 0 || len(dst)-start < limit
-	})
-	return dst
-}
-
 // Key returns a canonical encoding of the match — assigned variables in
 // lexicographic order with 0-based spans. Two matches over the same
 // document are equal exactly when their keys are equal.
@@ -174,20 +127,20 @@ func (m *Match) String() string {
 	return b.String()
 }
 
-// Iterator is a constant-delay pull iterator over the matches of one
-// document (Algorithm 2): the preprocessing pass has already run, and each
-// Next performs O(ℓ) work in the number of variables, independent of the
-// document length. An Iterator is not goroutine-safe; the Spanner can hand
-// out many independent Iterators concurrently.
-type Iterator struct {
+// iterator is the constant-delay pull iterator over the matches of one
+// preprocessed document (Algorithm 2): each next performs O(ℓ) work in the
+// number of variables, independent of the document length, and returns
+// the same scratch Match refilled.
+type iterator struct {
 	it *core.Iterator
 	m  *Match
 }
 
-// Next returns the next match, or ok = false when the enumeration is
-// complete. The *Match is a scratch buffer reused across calls; Clone it to
-// retain it.
-func (it *Iterator) Next() (m *Match, ok bool) {
+func (s *Spanner) iterator(res *core.Result) *iterator {
+	return &iterator{it: res.Iterator(), m: newMatch(res.Document(), s.vars, res.Registry())}
+}
+
+func (it *iterator) next() (*Match, bool) {
 	mm, ok := it.it.Next()
 	if !ok {
 		return nil, false

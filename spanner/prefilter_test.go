@@ -53,14 +53,14 @@ func prefilterVariants(t *testing.T, pattern string) []pfVariant {
 // through randomly chunked streaming.
 func assertPrefilterAgree(t *testing.T, vs []pfVariant, doc []byte, rng *rand.Rand) {
 	t.Helper()
-	wantN, wantExact := vs[0].s.Count(doc)
+	wantN, wantExact := count(t, vs[0].s, doc)
 	var want []string
 	enumerate := wantExact && wantN <= 50000
 	if enumerate {
 		want = sortedKeys(vs[0].s, doc)
 	}
 	for _, v := range vs[1:] {
-		if n, exact := v.s.Count(doc); n != wantN || exact != wantExact {
+		if n, exact := count(t, v.s, doc); n != wantN || exact != wantExact {
 			t.Fatalf("%s: Count = (%d, %v), reference (%d, %v)", v.name, n, exact, wantN, wantExact)
 		}
 	}
@@ -79,8 +79,8 @@ func assertPrefilterAgree(t *testing.T, vs []pfVariant, doc []byte, rng *rand.Ra
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: chunked streaming diverges from whole-document set", v.name)
 		}
-		if n, exact, err := v.s.CountReader(&randChunkReader{data: doc, sizes: chunkSizes(rng, len(doc))}); err != nil || n != wantN || exact != wantExact {
-			t.Fatalf("%s: CountReader = (%d, %v, %v), reference (%d, %v)", v.name, n, exact, err, wantN, wantExact)
+		if n, err := v.s.CountBigReaderContext(bg, &randChunkReader{data: doc, sizes: chunkSizes(rng, len(doc))}); err != nil || !n.IsUint64() || n.Uint64() != wantN {
+			t.Fatalf("%s: CountBigReaderContext = (%v, %v), reference %d", v.name, n, err, wantN)
 		}
 	}
 }
@@ -117,6 +117,33 @@ func TestPrefilterDifferentialSparse(t *testing.T) {
 	}
 }
 
+// TestCountHarvestsPrefilterCounters pins that every count entry point
+// runs through the one counting path, which folds the bytes the scan
+// bulk-skipped into Stats: on a sparse corpus CountBig and CountContext
+// each grow PrefilterSkippedBytes by the same non-zero amount.
+func TestCountHarvestsPrefilterCounters(t *testing.T) {
+	doc := gen.SparseMatches(1<<16, 0.001, 7)
+	for _, mode := range []spanner.Option{spanner.WithStrict(), spanner.WithLazy()} {
+		s := spanner.MustCompile(gen.SparsePattern, mode)
+		skipped := func() int64 { return s.Stats().PrefilterSkippedBytes }
+
+		before := skipped()
+		if s.CountBig(doc).Sign() == 0 {
+			t.Fatal("sparse corpus must have matches")
+		}
+		viaBig := skipped() - before
+
+		before = skipped()
+		count(t, s, doc)
+		viaCtx := skipped() - before
+
+		if viaBig == 0 || viaBig != viaCtx {
+			t.Fatalf("%s: CountBig skipped %d bytes, CountContext %d; want the same non-zero amount",
+				s.Mode(), viaBig, viaCtx)
+		}
+	}
+}
+
 func TestPrefilterDifferentialDense(t *testing.T) {
 	// Every contact entry matches: acceleration finds no long inert runs,
 	// and results must be unchanged.
@@ -134,14 +161,14 @@ func TestPrefilterDifferentialAdversarial(t *testing.T) {
 	assertPrefilterAgree(t, vs, small, rand.New(rand.NewSource(3)))
 
 	big := gen.DenseCandidates(1<<15, 3)
-	wantN, wantExact := vs[0].s.Count(big)
+	wantN, wantExact := count(t, vs[0].s, big)
+	wantBig := vs[0].s.CountBig(big)
 	for _, v := range vs[1:] {
-		if n, exact := v.s.Count(big); n != wantN || exact != wantExact {
+		if n, exact := count(t, v.s, big); n != wantN || exact != wantExact {
 			t.Fatalf("%s: Count = (%d, %v), reference (%d, %v)", v.name, n, exact, wantN, wantExact)
 		}
-		// The streaming count path harvests the gate counters into Stats.
-		if n, exact, err := v.s.CountReader(bytes.NewReader(big)); err != nil || n != wantN || exact != wantExact {
-			t.Fatalf("%s: CountReader = (%d, %v, %v), reference (%d, %v)", v.name, n, exact, err, wantN, wantExact)
+		if n, err := v.s.CountBigReaderContext(bg, bytes.NewReader(big)); err != nil || n.Cmp(wantBig) != 0 {
+			t.Fatalf("%s: CountBigReaderContext = (%v, %v), reference %v", v.name, n, err, wantBig)
 		}
 	}
 	if st := vs[1].s.Stats(); st.PrefilterFallbacks == 0 {
@@ -171,7 +198,7 @@ func TestPrefilterChunkBoundaryStraddle(t *testing.T) {
 				sizes = append(sizes, min(k, rem))
 			}
 			var got []string
-			if err := v.s.EnumerateReader(&randChunkReader{data: doc, sizes: sizes}, func(m *spanner.Match) bool {
+			if err := v.s.EnumerateReaderContext(bg, &randChunkReader{data: doc, sizes: sizes}, func(m *spanner.Match) bool {
 				got = append(got, m.Key())
 				return true
 			}); err != nil {
@@ -240,7 +267,7 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 			doc = doc[:1<<11]
 		}
 		ref := fuzzPrefilterVariants[0].s
-		wantN, wantExact := ref.Count(doc)
+		wantN, wantExact := count(t, ref, doc)
 		var want []string
 		enumerate := wantExact && wantN <= 20000
 		if enumerate {
@@ -248,7 +275,7 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(int64(chunkSeed)))
 		for _, v := range fuzzPrefilterVariants[1:] {
-			if n, exact := v.s.Count(doc); n != wantN || exact != wantExact {
+			if n, exact := count(t, v.s, doc); n != wantN || exact != wantExact {
 				t.Fatalf("%s: Count = (%d, %v), reference (%d, %v)\ndoc %q", v.name, n, exact, wantN, wantExact, doc)
 			}
 			if !enumerate {

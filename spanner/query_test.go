@@ -346,37 +346,3 @@ func TestQueryDedupSharedSubexpression(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedConstructorsAreQueryShims checks that the eager wrappers
-// produce spanners equivalent to the corresponding one-node queries, carry
-// plans, and compose: a spanner built by a wrapper feeds back into another
-// wrapper via its query tree (flattening applies).
-func TestDeprecatedConstructorsAreQueryShims(t *testing.T) {
-	s1 := spanner.MustCompile(`(a|b)*!x{a+}(a|b)*`)
-	s2 := spanner.MustCompile(`(a|b)*!y{b+}(a|b)*`)
-	u, err := spanner.Union(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Stats().Plan == nil {
-		t.Fatal("wrapper result should carry a plan")
-	}
-	u2, err := spanner.Union(u, s1) // repeated operand: flattens and dedups
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, doc := range [][]byte{nil, []byte("ab"), []byte("bba")} {
-		if a, b := keys1Based(t, u, doc), keys1Based(t, u2, doc); !slices.Equal(a, b) {
-			t.Fatalf("union(u, s1) should equal u on %q: %v vs %v", doc, a, b)
-		}
-	}
-	// Pattern() reflects the query as written (the dedup lives in the
-	// optimized plan), and still round-trips.
-	want := "union(union(/(a|b)*!x{a+}(a|b)*/, /(a|b)*!y{b+}(a|b)*/), /(a|b)*!x{a+}(a|b)*/)"
-	if got := u2.Pattern(); got != want {
-		t.Fatalf("Pattern = %q, want %q", got, want)
-	}
-	if st := u2.Stats(); strings.Count(st.Plan.Optimized, "/") != 2*2 {
-		t.Fatalf("optimized plan should hold 2 deduplicated leaves:\n%s", st.Plan.Optimized)
-	}
-}

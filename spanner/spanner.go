@@ -12,11 +12,12 @@
 //
 //	s, err := spanner.Compile(`.*!user{[a-z]+}@!host{[a-z.]+}.*`)
 //	...
-//	for m := range s.All(doc) {
+//	err = s.EnumerateContext(ctx, doc, func(m *spanner.Match) bool {
 //	    span, _ := m.Span("user")
 //	    text, _ := m.Text("user")
 //	    ...
-//	}
+//	    return true // false stops the enumeration
+//	})
 //
 // Two determinization strategies are available. The default strict mode
 // (WithStrict) materializes the full deterministic automaton and compiles
@@ -28,13 +29,10 @@
 package spanner
 
 import (
-	"iter"
-	"math/big"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"spanners/internal/core"
 	"spanners/internal/eva"
 	"spanners/internal/rgx"
 )
@@ -158,16 +156,15 @@ type Stats struct {
 	PrefilterLeaveBytes string
 	// PrefilterSkippedBytes is the total number of document bytes the
 	// acceleration layer bulk-skipped across this spanner's lifetime, over
-	// the entry points that harvest counters (Enumerate, All, the Reader
-	// and Context variants, Preprocess). PrefilterFallbacks counts the
-	// documents on which the density fallback disabled acceleration
-	// mid-scan. Both are read atomically, like DetStates in lazy mode.
+	// every evaluation entry point (enumeration, preprocessing and
+	// counting alike). PrefilterFallbacks counts the documents on which the
+	// density fallback disabled acceleration mid-scan. Both are read
+	// atomically, like DetStates in lazy mode.
 	PrefilterSkippedBytes int64
 	PrefilterFallbacks    int64
 	CompileTime           time.Duration
 	// Plan holds the logical and optimized plan trees when the spanner was
-	// compiled from a Query (including through the deprecated algebra
-	// constructors); nil for plain pattern compiles. The pointer is shared
+	// compiled from a Query; nil for plain pattern compiles. The pointer is shared
 	// across Stats calls; treat it as read-only.
 	Plan *Explain
 }
@@ -183,18 +180,6 @@ type Spanner struct {
 	vars    []string
 	stats   Stats
 
-	// query is the expression tree this spanner was compiled from, nil for
-	// plain pattern compiles. The deprecated algebra constructors use it to
-	// compose further without re-parsing, and Pattern() of a query-compiled
-	// spanner is query.String() — the canonical, re-parseable syntax.
-	query *Query
-
-	// seq is the trimmed sequential eVA the determinization strategies start
-	// from. It is retained (immutably) because the algebra constructors —
-	// Union, Project, Join — compose spanners at exactly this stage of the
-	// pipeline, before determinization.
-	seq *eva.EVA
-
 	dense *eva.Compiled // strict path; nil in lazy mode
 
 	// guards lazy, whose memo tables mutate during evaluation; pairing
@@ -204,9 +189,9 @@ type Spanner struct {
 	lazy *eva.Lazy // lazy path; nil in strict mode
 
 	// scratch pools per-document evaluation state (Algorithm 1 tables plus
-	// the DAG arena) across the bounded-lifetime entry points (Enumerate,
-	// All, EnumerateReader, the engine package), so compile-once/
-	// evaluate-many workloads stop paying the per-document allocation.
+	// the DAG arena, and the Read buffer) across evaluations, so
+	// compile-once/evaluate-many workloads stop paying the per-document
+	// allocation.
 	scratch sync.Pool
 
 	// accSkipped/accFallbacks aggregate the scan-acceleration counters
@@ -271,8 +256,8 @@ func CompileNode(n rgx.Node, opts ...Option) (*Spanner, error) {
 
 // compileEVA finishes the pipeline from an arbitrary (possibly
 // non-sequential, nondeterministic) eVA: trim → sequentialize if needed →
-// determinize per the chosen mode. It is shared by CompileNode and the
-// algebra constructors; start anchors CompileTime at the caller's entry.
+// determinize per the chosen mode. It is shared by CompileNode and
+// Query.Compile; start anchors CompileTime at the caller's entry.
 func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Spanner, error) {
 	var cfg config
 	for _, o := range opts {
@@ -283,7 +268,6 @@ func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Sp
 		pattern: pattern,
 		mode:    cfg.mode,
 		vars:    seq.Registry().Names(),
-		seq:     seq,
 		stats: Stats{
 			Pattern:        pattern,
 			Vars:           seq.Registry().Names(),
@@ -361,9 +345,9 @@ func PipelineNode(n rgx.Node) (*eva.EVA, error) {
 
 // Pattern returns the source pattern: the regex formula for plain
 // compiles, or the canonical query syntax (see ParseQuery) for spanners
-// compiled from a Query — including through the deprecated algebra
-// constructors — so the result always parses back into an equivalent
-// spanner (Compile for formulas, ParseQuery + Query.Compile for queries).
+// compiled from a Query, so the result always parses back into an
+// equivalent spanner (Compile for formulas, ParseQuery + Query.Compile for
+// queries).
 func (s *Spanner) Pattern() string { return s.pattern }
 
 // String returns the source pattern; see Pattern.
@@ -392,117 +376,4 @@ func (s *Spanner) Stats() Stats {
 	st.PrefilterSkippedBytes = s.accSkipped.Load()
 	st.PrefilterFallbacks = s.accFallbacks.Load()
 	return st
-}
-
-// evaluate runs the Algorithm 1 preprocessing phase over doc. When sc is
-// non-nil the pass reuses its tables and arena; the Result is then valid
-// only until the scratch's next use, so only the bounded-lifetime entry
-// points pass one (Iterator hands the Result to the caller and must not).
-func (s *Spanner) evaluate(doc []byte, sc *core.Scratch) *core.Result {
-	var st *core.Stream
-	if s.lazy != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		st = core.NewStream(s.lazy, sc)
-	} else {
-		st = core.NewStream(s.dense, sc)
-	}
-	st.FeedBorrowed(doc)
-	res := st.CloseWith(doc)
-	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
-	return res
-}
-
-// Iterator preprocesses doc (one O(|A|·|doc|) pass) and returns a pull
-// iterator whose Next yields successive matches with O(ℓ) delay — constant
-// in the document. The *Match returned by Next is a scratch buffer reused
-// across calls; Clone it to retain it.
-func (s *Spanner) Iterator(doc []byte) *Iterator {
-	// No scratch: the Result escapes into the Iterator, whose lifetime the
-	// facade does not control.
-	res := s.evaluate(doc, nil)
-	return &Iterator{
-		it: res.Iterator(),
-		m:  newMatch(doc, s.vars, res.Registry()),
-	}
-}
-
-// Enumerate preprocesses doc and streams every match to yield, stopping
-// early when yield returns false. The *Match passed to yield is reused
-// across calls; Clone it to retain it (clones hold plain span offsets and
-// stay valid indefinitely).
-func (s *Spanner) Enumerate(doc []byte, yield func(*Match) bool) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.drain(s.evaluate(doc, &sc.eval), yield)
-}
-
-// drain walks every output of a preprocessing Result through a fresh Match
-// scratch buffer, stopping early when yield returns false.
-func (s *Spanner) drain(res *core.Result, yield func(*Match) bool) {
-	it := &Iterator{
-		it: res.Iterator(),
-		m:  newMatch(res.Document(), s.vars, res.Registry()),
-	}
-	for {
-		m, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !yield(m) {
-			return
-		}
-	}
-}
-
-// All returns a range-over-func iterator over the matches in doc:
-//
-//	for m := range s.All(doc) { ... }
-//
-// The *Match is reused across iterations; Clone it to retain it.
-func (s *Spanner) All(doc []byte) iter.Seq[*Match] {
-	return func(yield func(*Match) bool) { s.Enumerate(doc, yield) }
-}
-
-// Count returns |⟦A⟧doc| in O(|A|·|doc|) without enumerating (Theorem 5.1).
-// exact is false when any step of the uint64 arithmetic overflowed — the
-// returned count is then the low 64 bits of the true total; use CountBig
-// (or the hybrid CountReader, which stays exact through intermediate
-// overflows) for the full value.
-func (s *Spanner) Count(doc []byte) (count uint64, exact bool) {
-	if s.lazy != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return core.Count(s.lazy, doc)
-	}
-	return core.Count(s.dense, doc)
-}
-
-// CountBig is Count with arbitrary-precision arithmetic.
-func (s *Spanner) CountBig(doc []byte) *big.Int {
-	if s.lazy != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return core.CountBig(s.lazy, doc)
-	}
-	return core.CountBig(s.dense, doc)
-}
-
-// IsEmpty reports whether doc has no matches. It runs the counting pass,
-// which needs only O(states) memory, rather than materializing the
-// enumeration DAG.
-func (s *Spanner) IsEmpty(doc []byte) bool {
-	n, exact := s.Count(doc)
-	if n != 0 {
-		// Exact or wrapped, a non-zero low-64-bits count means matches.
-		return false
-	}
-	if exact {
-		return true
-	}
-	// (0, false) is ambiguous: the intermediate arithmetic overflowed (so
-	// some state count was once huge) yet the low 64 bits of the total are
-	// zero — either every run died after the overflow (truly empty) or the
-	// true total is a multiple of 2^64. Resolve with exact arithmetic.
-	return s.CountBig(doc).Sign() == 0
 }

@@ -106,7 +106,9 @@ func BenchmarkCountThroughput(b *testing.B) {
 	run := func(b *testing.B, a core.Automaton) {
 		b.SetBytes(int64(len(doc)))
 		for i := 0; i < b.N; i++ {
-			core.Count(a, doc)
+			cs := core.NewCountStream(a)
+			cs.Feed(doc)
+			cs.Count()
 		}
 	}
 	b.Run("dense", func(b *testing.B) { run(b, dense) })
@@ -177,8 +179,9 @@ func BenchmarkFacadeEnumerate(b *testing.B) {
 
 // BenchmarkIsEmptyDeadPrefix measures the counting pass on a document the
 // automaton rejects immediately: an anchored pattern dies on the first
-// byte, so the early-exit in the counting loops makes IsEmpty proportional
-// to where the automaton dies, not to the document length (1 MB here).
+// byte, so the early-exit in the counting loop makes an emptiness check
+// proportional to where the automaton dies, not to the document length
+// (1 MB here).
 // ns_per_op is the tracked metric — a throughput figure would count the
 // ~1 MB the early exit deliberately never scans.
 func BenchmarkIsEmptyDeadPrefix(b *testing.B) {
@@ -188,31 +191,25 @@ func BenchmarkIsEmptyDeadPrefix(b *testing.B) {
 		doc[i] = 'z'
 	}
 	for i := 0; i < b.N; i++ {
-		if !s.IsEmpty(doc) {
+		if n, exact := count(b, s, doc); n != 0 || !exact {
 			b.Fatal("document unexpectedly matched")
 		}
 	}
 }
 
-// BenchmarkAlgebraEnumerate measures the full facade path on composed
-// spanners: a union of two extraction patterns and a join of an extraction
-// pattern with a boolean filter (the document-intersection use of natural
-// join). Composed spanners run the same dense-dispatch scan and
-// constant-delay enumeration as directly compiled ones.
+// BenchmarkAlgebraEnumerate measures the full facade path on
+// query-composed spanners: a union of two extraction patterns and a join of
+// an extraction pattern with a boolean filter (the document-intersection
+// use of natural join). Composed spanners run the same dense-dispatch scan
+// and constant-delay enumeration as directly compiled ones.
 func BenchmarkAlgebraEnumerate(b *testing.B) {
 	doc := benchScanDoc()
-	contacts := spanner.MustCompile(gen.Figure1Pattern())
-	numbers := spanner.MustCompile(`.*!num{(0|1|2|3|4|5|6|7|8|9)+}.*`)
-	filter := spanner.MustCompile(`.*@.*`)
+	contacts := spanner.Pattern(gen.Figure1Pattern())
+	numbers := spanner.Pattern(`.*!num{(0|1|2|3|4|5|6|7|8|9)+}.*`)
+	filter := spanner.Pattern(`.*@.*`)
 
-	union, err := spanner.Union(contacts, numbers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	join, err := spanner.Join(contacts, filter)
-	if err != nil {
-		b.Fatal(err)
-	}
+	union := compileQuery(b, contacts.Union(numbers))
+	join := compileQuery(b, contacts.Join(filter))
 	for _, bench := range []struct {
 		name string
 		s    *spanner.Spanner
@@ -252,7 +249,7 @@ func BenchmarkSparseScanThroughput(b *testing.B) {
 		run := func(b *testing.B, s *spanner.Spanner) {
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
-				s.Count(doc)
+				count(b, s, doc)
 			}
 		}
 		b.Run(d.name+"/prefilter", func(b *testing.B) { run(b, on) })
@@ -303,8 +300,9 @@ func (r *chunkedBenchReader) Read(p []byte) (int, error) {
 }
 
 // BenchmarkStreamingThroughput measures the incremental evaluation path —
-// EnumerateReader with chunked input and CountReader's never-materialized
-// counting pass — against the whole-document facade entries above.
+// EnumerateReaderContext with chunked input and CountBigReaderContext's
+// never-materialized counting pass — against the whole-document facade
+// entries above.
 func BenchmarkStreamingThroughput(b *testing.B) {
 	s := spanner.MustCompile(gen.Figure1Pattern())
 	doc := benchScanDoc()
@@ -318,7 +316,7 @@ func BenchmarkStreamingThroughput(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				err := s.EnumerateReader(&chunkedBenchReader{data: doc, size: size}, func(*spanner.Match) bool {
+				err := s.EnumerateReaderContext(bg, &chunkedBenchReader{data: doc, size: size}, func(*spanner.Match) bool {
 					n++
 					return true
 				})
@@ -332,7 +330,7 @@ func BenchmarkStreamingThroughput(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := s.CountReader(&chunkedBenchReader{data: doc, size: 64 << 10}); err != nil {
+			if _, err := s.CountBigReaderContext(bg, &chunkedBenchReader{data: doc, size: 64 << 10}); err != nil {
 				b.Fatal(err)
 			}
 		}

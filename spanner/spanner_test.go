@@ -2,6 +2,7 @@ package spanner_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,6 +12,32 @@ import (
 	"spanners/internal/gen"
 	"spanners/spanner"
 )
+
+// bg is the context of the tests that exercise no cancellation.
+var bg = context.Background()
+
+// count is CountContext under bg, failing the test on error.
+func count(t testing.TB, s *spanner.Spanner, doc []byte) (uint64, bool) {
+	t.Helper()
+	n, exact, err := s.CountContext(bg, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, exact
+}
+
+// isEmpty reports whether doc has no matches, by the exact count.
+func isEmpty(s *spanner.Spanner, doc []byte) bool { return s.CountBig(doc).Sign() == 0 }
+
+// compileQuery compiles q, failing the test on error.
+func compileQuery(t testing.TB, q *spanner.Query, opts ...spanner.Option) *spanner.Spanner {
+	t.Helper()
+	s, err := q.Compile(opts...)
+	if err != nil {
+		t.Fatalf("compile %s: %v", q, err)
+	}
+	return s
+}
 
 // collectKeys materializes the canonical keys of all matches of doc.
 func collectKeys(s *spanner.Spanner, doc []byte) []string {
@@ -61,14 +88,11 @@ func TestFigure1EndToEnd(t *testing.T) {
 		t.Fatalf("unexpected matches: %v", got)
 	}
 
-	if c, exact := s.Count(doc); !exact || c != 2 {
+	if c, exact := count(t, s, doc); !exact || c != 2 {
 		t.Fatalf("Count = %d (exact=%v), want 2", c, exact)
 	}
-	if s.IsEmpty(doc) {
-		t.Fatal("IsEmpty must be false on a matching document")
-	}
-	if !s.IsEmpty([]byte("no pattern here")) {
-		t.Fatal("IsEmpty must be true on a non-matching document")
+	if c, exact := count(t, s, []byte("no pattern here")); !exact || c != 0 {
+		t.Fatalf("Count = %d (exact=%v) on a non-matching document, want 0", c, exact)
 	}
 	if big := s.CountBig(doc); big.Int64() != 2 {
 		t.Fatalf("CountBig = %v, want 2", big)
@@ -78,13 +102,8 @@ func TestFigure1EndToEnd(t *testing.T) {
 func TestMatchAccessors(t *testing.T) {
 	s := spanner.MustCompile(`.*!w{[a-z]+}.*`)
 	doc := []byte("xy")
-	it := s.Iterator(doc)
 	seen := map[string]bool{}
-	for {
-		m, ok := it.Next()
-		if !ok {
-			break
-		}
+	s.Enumerate(doc, func(m *spanner.Match) bool {
 		sp, ok := m.Span("w")
 		if !ok {
 			t.Fatal("w must be assigned")
@@ -103,7 +122,8 @@ func TestMatchAccessors(t *testing.T) {
 			t.Fatal("unknown variable must not resolve")
 		}
 		seen[text] = true
-	}
+		return true
+	})
 	for _, want := range []string{"x", "y", "xy"} {
 		if !seen[want] {
 			t.Fatalf("missing capture %q in %v", want, seen)
@@ -113,39 +133,28 @@ func TestMatchAccessors(t *testing.T) {
 
 func TestMatchScratchReuseAndClone(t *testing.T) {
 	s := spanner.MustCompile(`.*!w{[a-z]}.*`)
-	it := s.Iterator([]byte("ab"))
-	m1, ok := it.Next()
-	if !ok {
-		t.Fatal("expected a match")
+	var yielded []*spanner.Match
+	var c1 *spanner.Match
+	var k1 string
+	s.Enumerate([]byte("ab"), func(m *spanner.Match) bool {
+		if len(yielded) == 0 {
+			c1, k1 = m.Clone(), m.Key()
+		}
+		yielded = append(yielded, m)
+		return len(yielded) < 2
+	})
+	if len(yielded) != 2 {
+		t.Fatalf("got %d matches, want 2", len(yielded))
 	}
-	c1 := m1.Clone()
-	k1 := m1.Key()
-	m2, ok := it.Next()
-	if !ok {
-		t.Fatal("expected a second match")
-	}
+	m1, m2 := yielded[0], yielded[1]
 	if m1 != m2 {
-		t.Fatal("iterator should reuse its scratch match")
+		t.Fatal("enumeration should reuse its scratch match")
 	}
 	if c1.Key() != k1 {
 		t.Fatal("clone must freeze the earlier value")
 	}
 	if m2.Key() == k1 {
 		t.Fatal("second match must differ")
-	}
-}
-
-func TestAllRangeIterator(t *testing.T) {
-	s := spanner.MustCompile(`.*!w{[a-z]}.*`)
-	n := 0
-	for m := range s.All([]byte("abc")) {
-		if m.Key() == "" {
-			t.Fatal("empty key")
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("ranged over %d matches, want 3", n)
 	}
 }
 
@@ -228,7 +237,11 @@ func TestGoroutineSafety(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				doc := docs[g%len(docs)]
-				want, _ := s.Count(doc)
+				want, _, err := s.CountContext(bg, doc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				for rep := 0; rep < 5; rep++ {
 					n := uint64(0)
 					s.Enumerate(doc, func(*spanner.Match) bool { n++; return true })
@@ -243,12 +256,12 @@ func TestGoroutineSafety(t *testing.T) {
 	}
 }
 
-// TestIsEmptyOverflowThenDeath pins IsEmpty on the ambiguous (0, false)
-// counting outcome: 12 nested variables over 60 a's push the intermediate
-// uint64 counts past overflow, then a trailing 'b' kills every run. The
-// wrapped count is 0 with exact == false — under the low-64-bits contract
-// that no longer implies "certainly non-zero", so IsEmpty must resolve the
-// ambiguity with exact arithmetic and report true.
+// TestIsEmptyOverflowThenDeath pins the emptiness answer on a document
+// whose per-state counts overflow uint64 before every run dies: 12 nested
+// variables over 60 a's push the intermediate counts past 2^64, then a
+// trailing 'b' kills every run. The counting pass migrates to big integers
+// at the overflow, so it reports an exact zero rather than an ambiguous
+// wrapped (0, inexact) — no second pass is needed to decide emptiness.
 func TestIsEmptyOverflowThenDeath(t *testing.T) {
 	// a*!x1{a*…!x12{a*}…a*}: nested captures over an a-only alphabet, so a
 	// trailing 'b' is fatal after the counts have already overflowed.
@@ -261,17 +274,19 @@ func TestIsEmptyOverflowThenDeath(t *testing.T) {
 		p.WriteString("}a*")
 	}
 	s := spanner.MustCompile(p.String())
+	prefix := bytes.Repeat([]byte("a"), 60)
+	if _, exact := count(t, s, prefix); exact {
+		t.Fatal("the a-prefix count fits uint64; the construction no longer overflows")
+	}
+	if isEmpty(s, prefix) {
+		t.Fatal("empty on a matching document with overflowing counts")
+	}
 	doc := append(bytes.Repeat([]byte("a"), 60), 'b')
-	n, exact := s.Count(doc)
-	if exact || n != 0 {
-		t.Fatalf("Count = (%d, %v); the construction no longer hits the ambiguous case", n, exact)
+	if n, exact := count(t, s, doc); !exact || n != 0 {
+		t.Fatalf("Count = (%d, %v), want (0, true)", n, exact)
 	}
-	if !s.IsEmpty(doc) {
-		t.Fatal("IsEmpty = false on a document with zero matches")
-	}
-	// The unambiguous directions stay cheap and correct.
-	if s.IsEmpty(bytes.Repeat([]byte("a"), 60)) {
-		t.Fatal("IsEmpty = true on a matching document with overflowing counts")
+	if !isEmpty(s, doc) {
+		t.Fatal("non-empty on a document with zero matches")
 	}
 }
 

@@ -10,8 +10,6 @@ package spanner
 import (
 	"context"
 	"io"
-	"iter"
-	"math/big"
 
 	"spanners/internal/core"
 )
@@ -52,8 +50,7 @@ func (s *Spanner) lockLazy() (unlock func()) {
 // pump reads r in chunks through the scratch's read buffer and hands each
 // chunk to feed under the lazy lock. The chunk is only valid during the
 // feed call. ctx is checked before every Read; cancellation surfaces as
-// ctx.Err() (the plain entry points pass context.Background(), whose Err
-// is a constant nil).
+// ctx.Err().
 func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed func(chunk []byte)) error {
 	if sc.rbuf == nil {
 		sc.rbuf = make([]byte, readChunk)
@@ -77,24 +74,14 @@ func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed f
 	}
 }
 
-// streamResult pumps r through an incremental preprocessing pass and
-// returns the closed Result. The document buffer the Result borrows is
-// freshly allocated per call — never pooled — so Matches cloned by the
-// caller keep valid span text after the scratch is reused.
-func (s *Spanner) streamResult(r io.Reader, sc *evalScratch) (*core.Result, error) {
-	return s.streamResultContext(context.Background(), r, sc)
-}
-
-// streamResultContext is streamResult with a cancellation check before
-// every Read.
+// streamResultContext pumps r through an incremental preprocessing pass,
+// checking ctx before every Read, and returns the closed Result. The
+// document buffer the Result borrows is freshly allocated per call — never
+// pooled — so Matches cloned by the caller keep valid span text after the
+// scratch is reused.
 func (s *Spanner) streamResultContext(ctx context.Context, r io.Reader, sc *evalScratch) (*core.Result, error) {
-	var st *core.Stream
 	unlock := s.lockLazy()
-	if s.lazy != nil {
-		st = core.NewStream(s.lazy, &sc.eval)
-	} else {
-		st = core.NewStream(s.dense, &sc.eval)
-	}
+	st := core.NewStream(s.automaton(), &sc.eval)
 	unlock()
 	if err := s.pump(ctx, r, sc, st.Feed); err != nil {
 		return nil, err
@@ -106,102 +93,18 @@ func (s *Spanner) streamResultContext(ctx context.Context, r io.Reader, sc *eval
 	return res, nil
 }
 
-// EnumerateReader reads the document from r, evaluating it incrementally
-// as chunks arrive, and streams every match to yield once the input ends;
-// it stops early when yield returns false. The output is identical to
-// Enumerate over the concatenated input. The *Match passed to yield is
-// reused across calls; Clone it to retain it (clones stay valid after the
-// call returns). The only error returned is a read error from r.
-func (s *Spanner) EnumerateReader(r io.Reader, yield func(*Match) bool) error {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	res, err := s.streamResult(r, sc)
-	if err != nil {
-		return err
-	}
-	s.drain(res, yield)
-	return nil
-}
-
-// AllReader returns a range-over-func iterator over the matches of the
-// document read from r:
-//
-//	for m, err := range s.AllReader(r) { ... }
-//
-// Matches are yielded with a nil error; a read error from r terminates the
-// sequence with a final (nil, err) pair. The *Match is reused across
-// iterations; Clone it to retain it.
-func (s *Spanner) AllReader(r io.Reader) iter.Seq2[*Match, error] {
-	return func(yield func(*Match, error) bool) {
-		stopped := false
-		err := s.EnumerateReader(r, func(m *Match) bool {
-			if !yield(m, nil) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil && !stopped {
-			yield(nil, err)
-		}
-	}
-}
-
-// countStream pumps r through an incremental counting pass (Theorem 5.1);
-// unlike EnumerateReader it retains no document bytes at all. It borrows a
-// pooled scratch for the read buffer only. total runs under the lazy lock
-// (totaling reads the shared automaton's state table).
-func (s *Spanner) countStream(r io.Reader, total func(*core.CountStream)) error {
-	return s.countStreamContext(context.Background(), r, total)
-}
-
-// countStreamContext is countStream with a cancellation check before every
-// Read.
-func (s *Spanner) countStreamContext(ctx context.Context, r io.Reader, total func(*core.CountStream)) error {
-	var cs *core.CountStream
-	unlock := s.lockLazy()
-	if s.lazy != nil {
-		cs = core.NewCountStream(s.lazy)
-	} else {
-		cs = core.NewCountStream(s.dense)
-	}
-	unlock()
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	if err := s.pump(ctx, r, sc, cs.Feed); err != nil {
-		return err
-	}
-	unlock = s.lockLazy()
-	defer unlock()
-	total(cs)
-	s.noteAccel(cs.AccelSkippedBytes(), cs.AccelFellBack())
-	return nil
-}
-
-// CountReader returns |⟦A⟧d| for the document read from r, in one pass and
-// O(states) memory — the document is never materialized. exact is false
-// only when |⟦A⟧d| itself does not fit in uint64 (count is then its low 64
-// bits); CountBigReader is exact always. Because the streaming pass migrates to big integers on the first
-// intermediate overflow, CountReader can report an exact count on a
-// document where Count reports exact == false (an overflowing state count
-// whose runs all die), never the reverse: whenever Count is exact, the two
-// agree.
-func (s *Spanner) CountReader(r io.Reader) (count uint64, exact bool, err error) {
-	err = s.countStream(r, func(cs *core.CountStream) {
-		count, exact = cs.Count()
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	return count, exact, nil
-}
-
 // Evaluation is a preprocessed document whose enumeration is deferred: the
 // O(|A|·|doc|) Algorithm 1 pass has run, and Enumerate replays the matches
 // with constant delay at any later point. It decouples where the two
 // phases run — the engine package preprocesses on worker goroutines and
 // enumerates on the consumer — while keeping the facade's pooled-scratch
 // economics: Release returns the evaluation state to the spanner's pool.
+//
+// PreprocessContext returns one; call Enumerate (any number of times) and
+// then Release. A dropped Evaluation is safe but forgoes scratch reuse. The
+// pairing is machine-checked: cmd/spanlint's releasepair analyzer verifies
+// that every PreprocessContext result reaches Release (or is handed off)
+// on all paths, error paths included.
 //
 // An Evaluation is not goroutine-safe. After Release it must not be used.
 type Evaluation struct {
@@ -210,25 +113,13 @@ type Evaluation struct {
 	res *core.Result
 }
 
-// Preprocess runs the preprocessing pass over doc using pooled scratch and
-// returns the deferred evaluation. Call Enumerate (any number of times)
-// and then Release; a dropped Evaluation is safe but forgoes scratch
-// reuse. The pairing is machine-checked: cmd/spanlint's releasepair
-// analyzer verifies that every Preprocess/PreprocessContext result
-// reaches Release (or is handed off) on all paths, error paths included.
-func (s *Spanner) Preprocess(doc []byte) *Evaluation {
-	sc := s.getScratch()
-	return &Evaluation{s: s, sc: sc, res: s.evaluate(doc, &sc.eval)}
-}
-
-// IsEmpty reports whether the document has no matches.
-func (e *Evaluation) IsEmpty() bool { return e.res.IsEmpty() }
-
 // Enumerate streams every match to yield, stopping early when yield
 // returns false. The *Match passed to yield is reused across calls; Clone
 // it to retain it.
 func (e *Evaluation) Enumerate(yield func(*Match) bool) {
-	e.s.drain(e.res, yield)
+	it := e.s.iterator(e.res)
+	for m, ok := it.next(); ok && yield(m); m, ok = it.next() {
+	}
 }
 
 // Release returns the evaluation state to the spanner's scratch pool. The
@@ -240,17 +131,4 @@ func (e *Evaluation) Release() {
 	e.s.putScratch(e.sc)
 	e.sc = nil
 	e.res = nil
-}
-
-// CountBigReader is CountReader with arbitrary-precision arithmetic: the
-// single pass stays in uint64 until the first overflow and migrates to big
-// integers only then, so the common case pays nothing for exactness.
-func (s *Spanner) CountBigReader(r io.Reader) (n *big.Int, err error) {
-	err = s.countStream(r, func(cs *core.CountStream) {
-		n = cs.CountBig()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
 }

@@ -64,7 +64,7 @@ func TestEnumerateReaderMatchesEnumerate(t *testing.T) {
 		}
 		for _, size := range []int{1, 3, 7, 1 << 10, 1 << 20} {
 			var got []string
-			err := s.EnumerateReader(&chunkReader{data: doc, size: size}, func(m *spanner.Match) bool {
+			err := s.EnumerateReaderContext(bg, &chunkReader{data: doc, size: size}, func(m *spanner.Match) bool {
 				got = append(got, m.Key())
 				return true
 			})
@@ -79,10 +79,49 @@ func TestEnumerateReaderMatchesEnumerate(t *testing.T) {
 	}
 }
 
+// TestAllReader checks the reader-driven enumeration end to end: the same
+// matches as Enumerate, a clean early stop, and a read error surfaced as
+// the returned error with no further matches.
+func TestAllReader(t *testing.T) {
+	s := spanner.MustCompile(gen.Figure1Pattern())
+	doc := gen.Contacts(30, 5)
+	want := keysOf(s, doc)
+
+	var got []string
+	if err := s.EnumerateReaderContext(bg, bytes.NewReader(doc), func(m *spanner.Match) bool {
+		got = append(got, m.Key())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("EnumerateReaderContext output differs from Enumerate")
+	}
+
+	// Early stop: yield returning false ends the stream cleanly with
+	// exactly the matches delivered so far.
+	n := 0
+	if err := s.EnumerateReaderContext(bg, bytes.NewReader(doc), func(*spanner.Match) bool {
+		n++
+		return n < 2
+	}); err != nil || n != 2 {
+		t.Fatalf("early stop delivered %d matches (err %v), want 2", n, err)
+	}
+
+	boom := errors.New("boom")
+	err := s.EnumerateReaderContext(bg, &errReader{data: []byte("John"), err: boom}, func(*spanner.Match) bool {
+		t.Fatal("no matches must be delivered on a failed read")
+		return false
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("read error was swallowed: err = %v, want %v", err, boom)
+	}
+}
+
 func TestEnumerateReaderEmptyInput(t *testing.T) {
 	s := spanner.MustCompile(`(!x{a})?`) // matches the empty document
 	n := 0
-	if err := s.EnumerateReader(strings.NewReader(""), func(*spanner.Match) bool {
+	if err := s.EnumerateReaderContext(bg, strings.NewReader(""), func(*spanner.Match) bool {
 		n++
 		return true
 	}); err != nil {
@@ -96,7 +135,7 @@ func TestEnumerateReaderEmptyInput(t *testing.T) {
 func TestEnumerateReaderPropagatesReadError(t *testing.T) {
 	s := spanner.MustCompile(gen.Figure1Pattern())
 	boom := errors.New("boom")
-	err := s.EnumerateReader(&errReader{data: gen.Figure1Doc(), err: boom}, func(*spanner.Match) bool {
+	err := s.EnumerateReaderContext(bg, &errReader{data: gen.Figure1Doc(), err: boom}, func(*spanner.Match) bool {
 		t.Fatal("no matches must be delivered on a failed read")
 		return false
 	})
@@ -105,67 +144,18 @@ func TestEnumerateReaderPropagatesReadError(t *testing.T) {
 	}
 }
 
-func TestAllReader(t *testing.T) {
-	s := spanner.MustCompile(gen.Figure1Pattern())
-	doc := gen.Contacts(30, 5)
-	want := keysOf(s, doc)
-
-	var got []string
-	for m, err := range s.AllReader(bytes.NewReader(doc)) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, m.Key())
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("AllReader output differs from Enumerate")
-	}
-
-	// Early break must not panic or deliver further values.
-	n := 0
-	for _, err := range s.AllReader(bytes.NewReader(doc)) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-		if n == 2 {
-			break
-		}
-	}
-	if n != 2 {
-		t.Fatalf("early break delivered %d", n)
-	}
-
-	// A read error arrives as the final (nil, err) element.
-	boom := errors.New("boom")
-	sawErr := false
-	for m, err := range s.AllReader(&errReader{data: []byte("John"), err: boom}) {
-		if err != nil {
-			sawErr = true
-			if m != nil {
-				t.Fatal("error element must carry a nil match")
-			}
-		}
-	}
-	if !sawErr {
-		t.Fatal("read error was swallowed")
-	}
-}
-
 func TestCountReaderMatchesCount(t *testing.T) {
 	doc := gen.Contacts(200, 13)
 	for _, mode := range []spanner.Mode{spanner.ModeStrict, spanner.ModeLazy} {
 		s := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithMode(mode))
-		want, wantExact := s.Count(doc)
+		want, exact := count(t, s, doc)
+		if !exact {
+			t.Fatal("contacts count must fit uint64")
+		}
 		for _, size := range []int{1, 17, 1 << 16} {
-			got, exact, err := s.CountReader(&chunkReader{data: doc, size: size})
-			if err != nil || got != want || exact != wantExact {
-				t.Fatalf("mode %v size %d: CountReader = (%d, %v, %v), want (%d, %v)",
-					mode, size, got, exact, err, want, wantExact)
-			}
-			big, err := s.CountBigReader(&chunkReader{data: doc, size: size})
-			if err != nil || big.Uint64() != want {
-				t.Fatalf("mode %v size %d: CountBigReader = (%v, %v), want %d", mode, size, big, err, want)
+			big, err := s.CountBigReaderContext(bg, &chunkReader{data: doc, size: size})
+			if err != nil || !big.IsUint64() || big.Uint64() != want {
+				t.Fatalf("mode %v size %d: CountBigReaderContext = (%v, %v), want %d", mode, size, big, err, want)
 			}
 		}
 	}
@@ -178,19 +168,18 @@ func TestCountBigReaderOverflow(t *testing.T) {
 	doc := gen.RandomDoc(60, "a", 1)
 	want := s.CountBig(doc)
 
-	_, exact, err := s.CountReader(&chunkReader{data: doc, size: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact {
+	if _, exact := count(t, s, doc); exact {
 		t.Fatal("expected inexact uint64 count")
 	}
-	got, err := s.CountBigReader(&chunkReader{data: doc, size: 7})
+	if want.BitLen() <= 64 {
+		t.Fatalf("CountBig = %v should exceed uint64", want)
+	}
+	got, err := s.CountBigReaderContext(bg, &chunkReader{data: doc, size: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cmp(want) != 0 {
-		t.Fatalf("CountBigReader = %v, want %v", got, want)
+		t.Fatalf("CountBigReaderContext = %v, want %v", got, want)
 	}
 }
 
@@ -204,7 +193,7 @@ func TestClonedMatchesSurviveScratchReuse(t *testing.T) {
 		txt string
 	}
 	var all []saved
-	err := s.EnumerateReader(&chunkReader{data: gen.Contacts(50, 17), size: 13}, func(m *spanner.Match) bool {
+	err := s.EnumerateReaderContext(bg, &chunkReader{data: gen.Contacts(50, 17), size: 13}, func(m *spanner.Match) bool {
 		c := m.Clone()
 		txt, _ := c.Text("name")
 		all = append(all, saved{c, c.Key(), txt})
@@ -244,7 +233,7 @@ func TestConcurrentStreamingEvaluations(t *testing.T) {
 				want := fmt.Sprint(keysOf(s, doc))
 				for i := 0; i < 5; i++ {
 					var got []string
-					err := s.EnumerateReader(&chunkReader{data: doc, size: 5}, func(m *spanner.Match) bool {
+					err := s.EnumerateReaderContext(bg, &chunkReader{data: doc, size: 5}, func(m *spanner.Match) bool {
 						got = append(got, m.Key())
 						return true
 					})
@@ -256,7 +245,7 @@ func TestConcurrentStreamingEvaluations(t *testing.T) {
 						t.Errorf("goroutine %d iteration %d: streaming output diverged", g, i)
 						return
 					}
-					if _, _, err := s.CountReader(&chunkReader{data: doc, size: 9}); err != nil {
+					if _, err := s.CountBigReaderContext(bg, &chunkReader{data: doc, size: 9}); err != nil {
 						t.Errorf("goroutine %d: count: %v", g, err)
 						return
 					}
@@ -275,9 +264,12 @@ func TestPreprocessDeferredEnumeration(t *testing.T) {
 	doc := gen.Contacts(25, 31)
 	want := keysOf(s, doc)
 
-	ev := s.Preprocess(doc)
-	if ev.IsEmpty() {
+	if len(want) == 0 {
 		t.Fatal("expected matches")
+	}
+	ev, err := s.PreprocessContext(bg, doc)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
 		var got []string
