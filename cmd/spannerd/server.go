@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -214,19 +215,9 @@ func (s *server) compileCached(ctx context.Context, w http.ResponseWriter, req *
 	return nil, false
 }
 
-// jsonSpan is one variable binding on the wire: 0-based half-open byte
-// offsets into the document, plus the covered text.
-type jsonSpan struct {
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	Text  string `json:"text"`
-}
-
-// matchRow is one NDJSON line of an enumerate response.
-type matchRow struct {
-	Doc   int                 `json:"doc"`
-	Spans map[string]jsonSpan `json:"spans"`
-}
+// rowWriteSize is how many bytes of enumerate rows the handler buffers
+// before writing them to the ResponseWriter.
+const rowWriteSize = 4 << 10
 
 // trailer is the final NDJSON line of an enumerate response: the exact
 // accounting of what the response contains, including how far the batch
@@ -279,15 +270,26 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		setCorpusHeaders(w, snap)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	// Rows are appended into one buffer reused for the whole request and
+	// handed to w once rowWriteSize bytes are pending — the size of
+	// net/http's own connection buffer, so the wire cadence is unchanged —
+	// and at every flush point.
+	buf := make([]byte, 0, 2*rowWriteSize)
+	var writeErr error
+	write := func() {
+		if len(buf) > 0 && writeErr == nil {
+			_, writeErr = w.Write(buf)
+		}
+		buf = buf[:0]
+	}
 	flush := func() {
+		write()
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
 	}
 	tr := trailer{Docs: len(req.Docs)}
-	var writeErr error
-	emitDoc := func(doc int, names []string, m *spanner.Match, emitted *int) bool {
+	emitDoc := func(doc int, m *spanner.Match, emitted *int) bool {
 		if req.Limit > 0 && *emitted >= req.Limit {
 			// Only now is truncation a fact: a match beyond the limit
 			// exists. A document with exactly limit matches ends its
@@ -296,12 +298,15 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			tr.Truncated = true
 			return false
 		}
-		row := matchRow{Doc: doc, Spans: make(map[string]jsonSpan, len(names))}
-		for _, b := range m.Bindings() {
-			row.Spans[b.Var] = jsonSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
-		}
-		if writeErr = enc.Encode(row); writeErr != nil {
-			return false
+		buf = append(buf, `{"doc":`...)
+		buf = strconv.AppendInt(buf, int64(doc), 10)
+		buf = append(buf, `,"spans":`...)
+		buf = m.AppendJSON(buf)
+		buf = append(buf, "}\n"...)
+		if len(buf) >= rowWriteSize {
+			if write(); writeErr != nil {
+				return false
+			}
 		}
 		tr.Matches++
 		*emitted++
@@ -312,14 +317,13 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		// of buffering until the document (or the response) completes.
 		if tr.Matches%256 == 0 {
 			flush()
-			if ctx.Err() != nil {
+			if writeErr != nil || ctx.Err() != nil {
 				return false
 			}
 		}
 		return true
 	}
 
-	names := sp.Vars()
 	switch {
 	case snap != nil:
 		tr.Docs = snap.Len()
@@ -328,7 +332,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			func(doc int, ev *spanner.Evaluation, _ error) bool {
 				n := 0
 				ev.Enumerate(func(m *spanner.Match) bool {
-					return emitDoc(doc, names, m, &n)
+					return emitDoc(doc, m, &n)
 				})
 				snap.AddServed(snap.Owner(doc), int64(n))
 				flush()
@@ -341,7 +345,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	case len(req.Docs) == 1:
 		emitted := 0
 		err := sp.EnumerateContext(ctx, []byte(req.Docs[0]), func(m *spanner.Match) bool {
-			return emitDoc(0, names, m, &emitted)
+			return emitDoc(0, m, &emitted)
 		})
 		if err != nil {
 			tr.Error = err.Error()
@@ -360,7 +364,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			func(i engine.DocID, ev *spanner.Evaluation, _ error) bool {
 				n := 0
 				ev.Enumerate(func(m *spanner.Match) bool {
-					return emitDoc(int(i), names, m, &n)
+					return emitDoc(int(i), m, &n)
 				})
 				flush()
 				return writeErr == nil
@@ -370,6 +374,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			tr.Error = ctxErr.Error()
 		}
 	}
+	write()
 	if writeErr != nil {
 		return // the client is gone; no point writing a trailer
 	}
@@ -380,7 +385,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.Trailer = true
 	tr.DocsSkipped = tr.Docs - tr.DocsProcessed
-	_ = enc.Encode(tr)
+	_ = json.NewEncoder(w).Encode(tr)
 	flush()
 }
 

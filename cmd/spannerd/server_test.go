@@ -48,12 +48,26 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (int, string
 	return resp.StatusCode, string(out)
 }
 
+// wireSpan and wireRow are one enumerate row decoded; encoded through
+// encoding/json they are also the reference the handler's rows must
+// reproduce byte for byte.
+type wireSpan struct {
+	Start int    `json:"start"`
+	End   int    `json:"end"`
+	Text  string `json:"text"`
+}
+
+type wireRow struct {
+	Doc   int                 `json:"doc"`
+	Spans map[string]wireSpan `json:"spans"`
+}
+
 // ndjson splits an enumerate response into match rows and the trailer,
 // asserting the trailer is the last line.
-func ndjson(t *testing.T, body string) ([]matchRow, trailer) {
+func ndjson(t *testing.T, body string) ([]wireRow, trailer) {
 	t.Helper()
 	lines := strings.Split(strings.TrimSpace(body), "\n")
-	var rows []matchRow
+	var rows []wireRow
 	var tr trailer
 	for i, line := range lines {
 		if strings.Contains(line, `"trailer":true`) {
@@ -65,7 +79,7 @@ func ndjson(t *testing.T, body string) ([]matchRow, trailer) {
 			}
 			return rows, tr
 		}
-		var row matchRow
+		var row wireRow
 		if err := json.Unmarshal([]byte(line), &row); err != nil {
 			t.Fatalf("row %q: %v", line, err)
 		}
@@ -79,7 +93,7 @@ const testQuery = `/.*!name{[A-Z][a-z]+} <(!email{[a-z0-9]+@[a-z0-9]+(\.[a-z0-9]
 
 // refMatches evaluates the same query through the library directly — the
 // ground truth the wire format must reproduce.
-func refMatches(t *testing.T, doc string) []map[string]jsonSpan {
+func refMatches(t *testing.T, doc string) []map[string]wireSpan {
 	t.Helper()
 	q, err := spanner.ParseQuery(testQuery)
 	if err != nil {
@@ -89,11 +103,11 @@ func refMatches(t *testing.T, doc string) []map[string]jsonSpan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []map[string]jsonSpan
+	var out []map[string]wireSpan
 	sp.Enumerate([]byte(doc), func(m *spanner.Match) bool {
-		row := make(map[string]jsonSpan)
+		row := make(map[string]wireSpan)
 		for _, b := range m.Bindings() {
-			row[b.Var] = jsonSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
+			row[b.Var] = wireSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
 		}
 		out = append(out, row)
 		return true

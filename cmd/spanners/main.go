@@ -197,7 +197,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		jsonOut: *jsonOut,
 		prefix:  len(files) > 1,
 		stdout:  stdout,
-		enc:     json.NewEncoder(stdout),
 	}
 
 	var matched bool
@@ -395,14 +394,11 @@ type renderer struct {
 	jsonOut bool
 	prefix  bool
 	stdout  io.Writer
-	enc     *json.Encoder
 	err     error
-}
 
-type jsonSpan struct {
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	Text  string `json:"text"`
+	row     []byte // the -json row being written, reused across matches
+	file    string // the input whose "file" member filePre holds
+	filePre []byte // `"file":<file as a JSON string>,`
 }
 
 // match renders one match line; it reports whether rendering can continue.
@@ -411,17 +407,13 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 		return false
 	}
 	if r.jsonOut {
-		row := struct {
-			File  string              `json:"file,omitempty"`
-			Spans map[string]jsonSpan `json:"spans"`
-		}{Spans: make(map[string]jsonSpan)}
+		r.row = append(r.row[:0], '{')
 		if r.prefix {
-			row.File = name
+			r.row = append(r.row, r.fileMember(name)...)
 		}
-		for _, b := range m.Bindings() {
-			row.Spans[b.Var] = jsonSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
-		}
-		if e := r.enc.Encode(row); e != nil {
+		r.row = append(r.row, `"spans":`...)
+		r.row = append(m.AppendJSON(r.row), '}', '\n')
+		if _, e := r.stdout.Write(r.row); e != nil {
 			r.err = e
 			return false
 		}
@@ -443,6 +435,17 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 		return false
 	}
 	return true
+}
+
+// fileMember returns the `"file":…,` member that opens every -json row of
+// input name, encoding the name once per input rather than once per row.
+func (r *renderer) fileMember(name string) []byte {
+	if len(r.filePre) == 0 || name != r.file {
+		q, _ := json.Marshal(name) // a string always marshals
+		r.file = name
+		r.filePre = append(append(append(r.filePre[:0], `"file":`...), q...), ',')
+	}
+	return r.filePre
 }
 
 // count renders one per-input count line.

@@ -220,14 +220,26 @@ type CountStream struct {
 // NewCountStream starts an incremental counting pass of a over a document
 // to be delivered via Feed.
 func NewCountStream(a Automaton) *CountStream {
-	s := &CountStream{a: a, c: counter{a: a}}
-	q0 := a.Initial()
-	s.c.ensure(q0)
-	s.c.counts[q0] = 1
-	s.c.inLive[q0] = true
-	s.c.live = append(s.c.live, q0)
-	s.gate.init(a)
+	s := &CountStream{}
+	s.Reset(a)
 	return s
+}
+
+// Reset restarts s as a fresh counting pass of a, keeping the capacity of
+// its tables, so a pooled CountStream counts a document without
+// allocating once warm.
+func (s *CountStream) Reset(a Automaton) {
+	c := &s.c
+	*c = counter{a: a, counts: c.counts[:0], live: c.live[:0], inLive: c.inLive[:0],
+		olds: c.olds[:0], nextLive: c.nextLive[:0]}
+	s.a, s.bc, s.closed = a, nil, false
+	s.snapC, s.snapL = s.snapC[:0], s.snapL[:0]
+	q0 := a.Initial()
+	c.ensure(q0)
+	c.counts[q0] = 1
+	c.inLive[q0] = true
+	c.live = append(c.live, q0)
+	s.gate.init(a)
 }
 
 // Feed advances the counting pass over the next chunk of the document. The
@@ -364,6 +376,16 @@ func (s *CountStream) Count() (count uint64, exact bool) {
 		return low64(t), false
 	}
 	return s.c.total()
+}
+
+// Dead reports whether no partial run survives: every run has died, so
+// the count is zero regardless of further input. Callers may use this to
+// stop feeding early.
+func (s *CountStream) Dead() bool {
+	if s.bc != nil {
+		return len(s.bc.live) == 0
+	}
+	return len(s.c.live) == 0
 }
 
 // AccelSkippedBytes returns how many document bytes the acceleration layer

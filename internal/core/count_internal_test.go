@@ -277,12 +277,18 @@ func TestCountEarlyExitOnDeadPrefix(t *testing.T) {
 
 	a = deadEndAutomaton()
 	s := NewCountStream(a)
+	if s.Dead() {
+		t.Fatal("a fresh CountStream reports Dead")
+	}
 	for i := 0; i < len(doc); i += 1000 {
 		end := i + 1000
 		if end > len(doc) {
 			end = len(doc)
 		}
 		s.Feed(doc[i:end])
+	}
+	if !s.Dead() {
+		t.Fatal("CountStream not Dead after the run-killing byte")
 	}
 	if n, exact := s.Count(); !exact || n != 0 {
 		t.Fatalf("CountStream.Count = (%d, %v), want (0, true)", n, exact)
@@ -298,8 +304,14 @@ func TestCountEarlyExitOnDeadPrefix(t *testing.T) {
 	s.Feed(repeatA(3))
 	s.snapshot()
 	s.migrate()
+	if s.Dead() {
+		t.Fatal("a live migrated CountStream reports Dead")
+	}
 	a.steps = 0
 	s.Feed(append([]byte{'b'}, repeatA(50000)...))
+	if !s.Dead() {
+		t.Fatal("migrated CountStream not Dead after the run-killing byte")
+	}
 	if a.steps > maxSteps {
 		t.Fatalf("migrated CountStream made %d Step calls after death", a.steps)
 	}

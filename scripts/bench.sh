@@ -1,13 +1,16 @@
 #!/bin/sh
-# Regenerates BENCH_spanner.json: runs the spanner benchmarks and records
-# throughput (MB/s) and per-result delay numbers as the perf baseline.
+# Regenerates BENCH_spanner.json: runs the library benchmarks and the
+# spannerd serving round trip, and records throughput (MB/s), per-result
+# delay and allocation numbers as the perf baseline. The header names the
+# Go version, the CPU and GOMAXPROCS (read off the benchmark names' -N
+# suffix, which go test omits when it is 1).
 # OUT overrides the output path (scripts/benchgate.sh writes to a temp file
 # to compare a fresh run against the committed baseline).
 set -e
 cd "$(dirname "$0")/.."
 OUT="${OUT:-BENCH_spanner.json}"
 
-go test -run='^$' -bench=. -benchtime="${BENCHTIME:-500ms}" ./spanner/ ./spanner/cache/ ./engine/ ./corpus/ ./cluster/ |
+go test -run='^$' -bench=. -benchtime="${BENCHTIME:-500ms}" ./spanner/ ./spanner/cache/ ./engine/ ./corpus/ ./cluster/ ./cmd/spannerd/ |
 awk -v go="$(go version | awk '{print $3}')" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^cpu:/ {
@@ -16,6 +19,7 @@ awk -v go="$(go version | awk '{print $3}')" \
 }
 /^Benchmark/ {
   name = $1
+  if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
   sub(/-[0-9]+$/, "", name)
   row = sprintf("{\"name\":\"%s\",\"iterations\":%s", name, $2)
   for (i = 3; i < NF; i += 2) {
@@ -31,6 +35,7 @@ END {
   printf "  \"generated\": \"%s\",\n", date
   printf "  \"go\": \"%s\",\n", go
   printf "  \"cpu\": \"%s\",\n", cpu
+  printf "  \"gomaxprocs\": %d,\n", (procs == "" ? 1 : procs)
   printf "  \"benchmarks\": [\n"
   for (i = 0; i < n; i++)
     printf "    %s%s\n", rows[i], (i < n - 1 ? "," : "")

@@ -64,9 +64,11 @@ func (s *Spanner) automaton() core.Automaton {
 }
 
 // feedContext hands doc to feed in ctxChunk pieces under the lazy lock,
-// checking ctx before every piece and once more at the end.
-func (s *Spanner) feedContext(ctx context.Context, doc []byte, feed func(chunk []byte)) error {
-	for off := 0; off < len(doc); off += ctxChunk {
+// checking ctx before every piece and once more at the end. It stops
+// feeding once dead reports that every run has died: the rest of the
+// document can no longer change the result.
+func (s *Spanner) feedContext(ctx context.Context, doc []byte, feed func(chunk []byte), dead func() bool) error {
+	for off := 0; off < len(doc) && !dead(); off += ctxChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -84,7 +86,7 @@ func (s *Spanner) evaluateContext(ctx context.Context, doc []byte, sc *core.Scra
 	unlock := s.lockLazy()
 	st := core.NewStream(s.automaton(), sc)
 	unlock()
-	if err := s.feedContext(ctx, doc, st.FeedBorrowed); err != nil {
+	if err := s.feedContext(ctx, doc, st.FeedBorrowed, st.Dead); err != nil {
 		return nil, err
 	}
 	unlock = s.lockLazy()
@@ -128,22 +130,23 @@ func (s *Spanner) PreprocessContext(ctx context.Context, doc []byte) (*Evaluatio
 	return &Evaluation{s: s, sc: sc, res: res}, nil
 }
 
-// countContext is the one counting path: it feeds a CountStream
+// countContext is the one counting path: it feeds a pooled CountStream
 // (Theorem 5.1) from r when r is non-nil, from doc otherwise, checking ctx
 // between chunks, then hands the closed stream to total under the lazy
 // lock (totaling reads the shared automaton's state table). The pass
 // retains no document bytes; a Reader source borrows a pooled read buffer.
 func (s *Spanner) countContext(ctx context.Context, doc []byte, r io.Reader, total func(*core.CountStream)) error {
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	cs := &sc.count
 	unlock := s.lockLazy()
-	cs := core.NewCountStream(s.automaton())
+	cs.Reset(s.automaton())
 	unlock()
 	var err error
 	if r != nil {
-		sc := s.getScratch()
-		defer s.putScratch(sc)
 		err = s.pump(ctx, r, sc, cs.Feed)
 	} else {
-		err = s.feedContext(ctx, doc, cs.Feed)
+		err = s.feedContext(ctx, doc, cs.Feed, cs.Dead)
 	}
 	if err != nil {
 		return err

@@ -215,3 +215,40 @@ func (infiniteAs) Read(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// TestDeadDocumentStopsFeeding pins the early stop of the chunked passes:
+// once every run has died, the rest of the document is not fed, so a 1 MiB
+// document the automaton rejects at its first byte polls ctx a constant
+// number of times — once before the first chunk, once at the end, and
+// once more when enumeration starts — not once per 64 KiB chunk.
+func TestDeadDocumentStopsFeeding(t *testing.T) {
+	doc := []byte(strings.Repeat("z", 1<<20))
+	polls := func(run func(ctx context.Context) error) int64 {
+		t.Helper()
+		ctx := newCancelAfterErrs(1000)
+		if err := run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return 1000 - ctx.n.Load()
+	}
+	for _, mode := range []spanner.Option{spanner.WithStrict(), spanner.WithLazy()} {
+		s := spanner.MustCompile(`abc(a|b|c)*`, mode)
+		if p := polls(func(ctx context.Context) error {
+			n, exact, err := s.CountContext(ctx, doc)
+			if n != 0 || !exact {
+				t.Fatalf("CountContext = (%d, %v), want (0, true)", n, exact)
+			}
+			return err
+		}); p > 2 {
+			t.Fatalf("%v: CountContext polled ctx %d times on a dead document", s.Mode(), p)
+		}
+		if p := polls(func(ctx context.Context) error {
+			return s.EnumerateContext(ctx, doc, func(*spanner.Match) bool {
+				t.Fatal("a dead document yielded a match")
+				return false
+			})
+		}); p > 3 {
+			t.Fatalf("%v: EnumerateContext polled ctx %d times on a dead document", s.Mode(), p)
+		}
+	}
+}

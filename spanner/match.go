@@ -2,6 +2,7 @@ package spanner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,11 +36,8 @@ type Match struct {
 	doc   []byte
 	names []string
 	reg   *model.Registry
+	keys  *jsonKeys    // the Spanner's AppendJSON key layout
 	spans []model.Span // 1-based; zero Span = variable unassigned
-}
-
-func newMatch(doc []byte, names []string, reg *model.Registry) *Match {
-	return &Match{doc: doc, names: names, reg: reg, spans: make([]model.Span, len(names))}
 }
 
 // Vars returns the names of all pattern variables (assigned or not) in
@@ -92,9 +90,9 @@ func (m *Match) Bindings() []Binding {
 
 // Clone returns an independent copy of the match.
 func (m *Match) Clone() *Match {
-	c := &Match{doc: m.doc, names: m.names, reg: m.reg, spans: make([]model.Span, len(m.spans))}
-	copy(c.spans, m.spans)
-	return c
+	c := *m
+	c.spans = slices.Clone(m.spans)
+	return &c
 }
 
 // Key returns a canonical encoding of the match — assigned variables in
@@ -137,7 +135,9 @@ type iterator struct {
 }
 
 func (s *Spanner) iterator(res *core.Result) *iterator {
-	return &iterator{it: res.Iterator(), m: newMatch(res.Document(), s.vars, res.Registry())}
+	m := &Match{doc: res.Document(), names: s.vars, reg: res.Registry(), keys: s.keys,
+		spans: make([]model.Span, len(s.vars))}
+	return &iterator{it: res.Iterator(), m: m}
 }
 
 func (it *iterator) next() (*Match, bool) {

@@ -178,6 +178,7 @@ type Spanner struct {
 	pattern string
 	mode    Mode
 	vars    []string
+	keys    *jsonKeys // Match.AppendJSON's sorted, pre-escaped keys
 	stats   Stats
 
 	dense *eva.Compiled // strict path; nil in lazy mode
@@ -264,10 +265,12 @@ func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Sp
 		o(&cfg)
 	}
 	seq, sequentialized := sequentialEVA(e)
+	vars := seq.Registry().Names()
 	s := &Spanner{
 		pattern: pattern,
 		mode:    cfg.mode,
-		vars:    seq.Registry().Names(),
+		vars:    vars,
+		keys:    newJSONKeys(vars),
 		stats: Stats{
 			Pattern:        pattern,
 			Vars:           seq.Registry().Names(),

@@ -18,11 +18,12 @@ import (
 const readChunk = 64 << 10
 
 // evalScratch bundles the pooled per-document state: the core evaluation
-// scratch (Algorithm 1 tables + DAG arena) and the Read buffer of the
-// Reader-based entry points.
+// scratch (Algorithm 1 tables + DAG arena), the counting pass's tables and
+// the Read buffer of the Reader-based entry points.
 type evalScratch struct {
-	eval core.Scratch
-	rbuf []byte
+	eval  core.Scratch
+	count core.CountStream
+	rbuf  []byte
 }
 
 func (s *Spanner) getScratch() *evalScratch {
